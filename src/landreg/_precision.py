@@ -1,28 +1,56 @@
-"""Extended- and arbitrary-precision fallbacks for ill-conditioned solves.
+"""Extended-precision rungs of the solver ladder: 80-bit and double-double.
 
-Flat shape parameters push interpolation matrices to condition numbers of
-1e17..1e19, where the exact coefficient vectors reach norms ~1e17 and the
-residual floor of a precision-eps pipeline is roughly eps * ||A|| * ||c||.
-float64 stalls near 1e-4 and 80-bit extended precision near 3e-6 on such
-systems, so the solver ladder ends in an mpmath rung (30 significant
-digits, floor ~1e-11).  A transform solved at a given precision must also
-be *evaluated* at that precision: its huge coefficients turn any lower-
-precision kernel value into O(1) output noise.  This module therefore
-provides matching assembly, solve and evaluation routines per rung; systems
-are small (N <= ~200), so the pure-Python cost stays in fractions of a
-second.
+Flat shape parameters push interpolation matrices to condition numbers far
+beyond 1/eps (a 60-digit 1-norm condition of 4.6e36 for the Gaussian at
+alpha = 0.2 on square-shift-32), and the exact coefficient vectors grow
+with them (max-norm 1.1e30 on square-scale-64 at alpha = 0.4).  The residual
+floor of a precision-eps pipeline is roughly eps * ||A|| * ||c||, so float64
+stalls near 1e-4 and 80-bit extended precision near 3e-6 on such systems,
+and the ladder ends in a multi-precision (double-double) rung of about 32
+significant digits.  A transform solved at a given precision must also be
+*evaluated* at that precision: its huge coefficients turn any lower-precision
+kernel value into O(1) output noise.
+
+The double-double rung runs the kernel formulas of :mod:`landreg.kernels`
+and :mod:`landreg.lobachevsky` on :class:`~landreg._dd.DDArray` operands,
+factors the system by a partial-pivot LU that updates the whole trailing
+block at each step, and evaluates with pairwise-summed dot products.  Its
+precision tag is ``"mp"``.
 """
 
 from __future__ import annotations
 
-import mpmath as mp
 import numpy as np
 
-from .kernels import (Gaussian, GeneralizedMultiquadric, ThinPlateSpline,
-                      Wendland1D, WendlandRadial)
-from .lobachevsky import LobachevskySpline
+from ._dd import DDArray
+from .kernels import Wendland1D, _radial, _univariate
+from .lobachevsky import LobachevskySpline, _spline
 
-MP_DPS = 30
+# Fixed-precision refinement never lowered the residual of a double-double
+# solve on the square cases (each step grew it 2-1000x: cond * 2^-106 > 1
+# there), so the rung keeps its first solve and only measures its residual.
+DD_REFINE_STEPS = 0
+EVAL_BLOCK = 8192   # kernel entries per evaluation block: temporaries stay in cache
+_ONE = DDArray(1.0)
+
+
+# ---------------------------------------------------------------------------
+# refinement (shared by every rung)
+
+def _refined_solve(matrix, solve_once, rhs, n_interp, max_steps):
+    """Solve with monitored iterative refinement; keep the best iterate."""
+    z = solve_once(rhs)
+    best_z, best_res = z, np.inf
+    for step in range(max_steps + 1):
+        r = rhs - matrix @ z
+        finite = np.isfinite(r).all()
+        res = float(np.abs(r[:n_interp]).max()) if finite else np.inf
+        if res < best_res:
+            best_z, best_res = z, res
+        if not finite or step == max_steps:
+            break
+        z = z + solve_once(r)
+    return best_z, best_res
 
 
 # ---------------------------------------------------------------------------
@@ -60,210 +88,105 @@ def lu_solve_extended(lu, order, rhs):
 
 
 # ---------------------------------------------------------------------------
-# mpmath kernel evaluation (shared by assembly and transform evaluation)
+# double-double
 
-def _sqdist(px, cx):
-    total = mp.mpf(0)
-    for a, b in zip(px, cx):
-        d = a - b
-        total += d * d
-    return total
-
-
-def _radial_fn(kernel):
-    """Closure computing Phi from the squared distance, constants prebuilt."""
-    zero = mp.mpf(0)
-    if isinstance(kernel, Gaussian):
-        neg_a2 = -(mp.mpf(kernel.alpha) ** 2)
-        return lambda d2: mp.exp(neg_a2 * d2)
-    if isinstance(kernel, ThinPlateSpline):
-        half = mp.mpf(0.5)
-        return lambda d2: d2 * mp.log(d2) * half if d2 > 0 else zero
-    if isinstance(kernel, GeneralizedMultiquadric):
-        g2 = mp.mpf(kernel.gamma) ** 2
-        half_mu = mp.mpf(kernel.mu) / 2
-        return lambda d2: (d2 + g2) ** half_mu
-    if isinstance(kernel, WendlandRadial):
-        group = 1 if kernel.m == 1 else 2
-        c, h = mp.mpf(kernel.c), kernel.h
-        return lambda d2: _wendland_value(group, h, c * mp.sqrt(d2))
-    raise TypeError(f"no arbitrary-precision rule for {kernel!r}")
-
-
-def _wendland_value(group, h, u):
-    if u >= 1:
-        return mp.mpf(0)
-    v = 1 - u
-    if group == 1:
-        if h == 0:
-            return v
-        if h == 1:
-            return v ** 3 * (3 * u + 1)
-        if h == 2:
-            return v ** 5 * ((8 * u + 5) * u + 1)
-        return v ** 7 * (((21 * u + 19) * u + 7) * u + 1)
-    if h == 0:
-        return v * v
-    if h == 1:
-        return v ** 4 * (4 * u + 1)
-    if h == 2:
-        return v ** 6 * ((35 * u + 18) * u + 3)
-    return v ** 8 * (((32 * u + 25) * u + 8) * u + 1)
-
-
-def _box_spline(n, x):
-    """Lobachevsky f_n with a = 1 via the three-term recurrence, in mpf."""
-    one = mp.mpf(1)
-    if abs(x) >= n:
-        return mp.mpf(0)
-    def base(y):
-        return mp.mpf(0.5) if -one <= y < one else mp.mpf(0)
-    if n == 1:
-        return base(x)
-    vals = {j: base(x + j) for j in range(-(n - 1), n, 2)}
-    for level in range(2, n + 1):
-        vals = {j: ((level + (x + j)) * vals[j + 1] + (level - (x + j)) * vals[j - 1])
-                / (2 * (level - 1))
-                for j in range(-(n - level), n - level + 1, 2)}
-    return vals[0]
-
-
-def _univariate_fn(kernel):
-    """Closure computing the tensor factor psi from a coordinate difference."""
+def _factor(kernel, delta):
     if isinstance(kernel, Wendland1D):
-        c, h = mp.mpf(kernel.c), kernel.h
-        return lambda delta: _wendland_value(1, h, c * abs(delta))
+        return _univariate(kernel, delta)
     if isinstance(kernel, LobachevskySpline):
-        n = kernel.n
-        zero = mp.mpf(0)
-        if kernel.a is not None:
-            a = mp.mpf(kernel.a)
-            na = n * a
-            return lambda delta: (_box_spline(n, delta / a) / a
-                                  if abs(delta) < na else zero)
-        alpha = mp.mpf(kernel.alpha)
-        limit = mp.sqrt(3 * mp.mpf(n))
-        s = mp.sqrt(mp.mpf(n) / 3)
-        def spline(delta):
-            arg = alpha * delta
-            return s * _box_spline(n, s * arg) if abs(arg) < limit else zero
-        return spline
-    raise TypeError(f"no arbitrary-precision rule for {kernel!r}")
+        return _spline(kernel, delta, _ONE)
+    raise ValueError(f"kernel {kernel!r} is not a univariate tensor factor")
 
 
-def _row_fn(kernel, tensor):
-    """Closure mapping (point, centers) to the kernel row at that point."""
+def _kernel_rows(kernel, tensor, x, centers):
+    """Kernel matrix between points x (P, m) and centers (N, m), as DDArrays."""
     if tensor:
-        psi = _univariate_fn(kernel)
-        def row(px, centers):
-            return [mp.fprod(psi(a - b) for a, b in zip(px, cx)) for cx in centers]
-        return row
-    phi = _radial_fn(kernel)
-    def row(px, centers):
-        return [phi(_sqdist(px, cx)) for cx in centers]
-    return row
+        out = _factor(kernel, x[:, None, 0] - centers[None, :, 0])
+        for d in range(1, x.shape[1]):
+            out = out * _factor(kernel, x[:, None, d] - centers[None, :, d])
+        return out
+    diff = x[:, None, :] - centers[None, :, :]
+    return _radial(kernel, np.sqrt((diff * diff).sum(-1)))
 
 
-def _monomial_row(px, degree, exponents):
-    row = []
-    for exps in exponents:
-        term = mp.mpf(1)
-        for value, e in zip(px, exps):
+def _monomials(x, exponents):
+    """Monomial basis at the points x (P, m), (P, U)."""
+    out = DDArray(np.ones((len(x), len(exponents))))
+    for u, exps in enumerate(exponents):
+        for d, e in enumerate(exps):
             if e:
-                term *= value ** e
-        row.append(term)
-    return row
+                out[:, u] = out[:, u] * x[:, d] ** e
+    return out
 
 
-def _to_mpf(points):
-    return [[mp.mpf(float(v)) for v in p] for p in np.atleast_2d(points)]
-
-
-def _lu_inplace(rows):
-    """Partial-pivot LU on a list-of-lists of mpf; returns permutation or None."""
-    n = len(rows)
-    perm = list(range(n))
+def lu_dd(a):
+    """Partial-pivot LU of a DDArray; returns (LU, row order) like lu_extended."""
+    lu = a.copy()
+    n = len(lu)
+    order = np.arange(n)
     for k in range(n - 1):
-        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
-        if rows[p][k] == 0:
-            return None
+        p = k + int(np.argmax(np.abs(lu.hi[k:, k])))
         if p != k:
-            rows[k], rows[p] = rows[p], rows[k]
-            perm[k], perm[p] = perm[p], perm[k]
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            factor = rows[i][k] = rows[i][k] / pivot
-            if factor:
-                row_i, row_k = rows[i], rows[k]
-                for j in range(k + 1, n):
-                    row_i[j] -= factor * row_k[j]
-    return perm if rows[n - 1][n - 1] != 0 else None
+            lu[[k, p]] = lu[[p, k]]
+            order[[k, p]] = order[[p, k]]
+        if lu.hi[k, k] == 0:
+            continue
+        col = lu[k + 1:, k] / lu[k, k]
+        lu[k + 1:, k] = col
+        lu[k + 1:, k + 1:] = lu[k + 1:, k + 1:] - col[:, None] * lu[k, k + 1:]
+    return lu, order
 
 
-def _lu_substitute(rows, perm, b):
-    n = len(rows)
-    x = [b[perm[i]] for i in range(n)]
-    for k in range(1, n):
-        row = rows[k]
-        x[k] -= mp.fsum(row[j] * x[j] for j in range(k))
+def lu_solve_dd(lu, order, rhs):
+    """Solve with the factors of lu_dd; rhs is (n, m), float64 or DDArray."""
+    x = (rhs if isinstance(rhs, DDArray) else DDArray(rhs))[order]
+    n = len(lu)
+    for k in range(n - 1):
+        x[k + 1:] = x[k + 1:] - lu[k + 1:, k, None] * x[k]
     for k in range(n - 1, -1, -1):
-        row = rows[k]
-        x[k] = (x[k] - mp.fsum(row[j] * x[j] for j in range(k + 1, n))) / row[k]
+        x[k] = x[k] / lu[k, k]
+        if k:
+            x[:k] = x[:k] - lu[:k, k, None] * x[k]
     return x
 
 
 def mp_solve(kernel, tensor, sources, tail_degree, exponents, rhs):
-    """Assemble and solve the saddle system at MP_DPS digits.
+    """Assemble and solve the saddle system in double-double precision.
 
     One factorization serves all coordinates.  Returns (coefficient
-    object-array (N+U, m), max interpolation residual); (None, inf) when
-    the system is exactly singular.
+    DDArray (N+U, m), max interpolation residual); (None, inf) when the
+    system is exactly singular.
     """
-    with mp.workdps(MP_DPS):
-        pts = _to_mpf(sources)
-        n = len(pts)
-        u = len(exponents) if tail_degree is not None else 0
-        kernel_row = _row_fn(kernel, tensor)
-        rows = []
-        for px in pts:
-            row = kernel_row(px, pts)
-            if u:
-                row += _monomial_row(px, tail_degree, exponents)
-            rows.append(row)
-        if u:
-            for k in range(u):
-                rows.append([rows[j][n + k] for j in range(n)] + [mp.mpf(0)] * u)
-        system = [row[:] for row in rows]
-        perm = _lu_inplace(system)
-        if perm is None:
-            return None, np.inf
-        m = rhs.shape[1]
-        coef = np.empty((n + u, m), dtype=object)
-        residual = 0.0
-        for col in range(m):
-            b = [mp.mpf(float(v)) for v in rhs[:, col]]
-            z = _lu_substitute(system, perm, b)
-            for i in range(n + u):
-                coef[i, col] = z[i]
-            for i in range(n):
-                r = mp.fsum(rows[i][j] * z[j] for j in range(n + u)) - b[i]
-                residual = max(residual, float(abs(r)))
-        return coef, residual
+    x = DDArray(sources)
+    n = len(sources)
+    system = _kernel_rows(kernel, tensor, x, x)
+    if tail_degree is not None:
+        u = len(exponents)
+        q = _monomials(x, exponents)
+        full = DDArray(np.zeros((n + u, n + u)))
+        full[:n, :n] = system
+        full[:n, n:] = q
+        full[n:, :n] = q.T
+        system = full
+    lu, order = lu_dd(system)
+    if not np.all(np.diagonal(lu.hi)):
+        return None, np.inf
+    return _refined_solve(system, lambda b: lu_solve_dd(lu, order, b),
+                          rhs, n, DD_REFINE_STEPS)
 
 
 def mp_evaluate(kernel, tensor, coef, tail_degree, exponents, points, centers):
-    """Evaluate a transform with arbitrary-precision coefficients, as float64."""
-    with mp.workdps(MP_DPS):
-        pts = _to_mpf(points)
-        ctr = _to_mpf(centers)
-        m = coef.shape[1]
-        columns = [list(coef[:, col]) for col in range(m)]
-        kernel_row = _row_fn(kernel, tensor)
-        out = np.empty((len(pts), m), dtype=float)
-        for i, px in enumerate(pts):
-            row = kernel_row(px, ctr)
-            if tail_degree is not None:
-                row += _monomial_row(px, tail_degree, exponents)
-            for col in range(m):
-                out[i, col] = float(mp.fsum(map(mp.fmul, row, columns[col])))
-        return out
+    """Evaluate a transform with double-double coefficients, as float64."""
+    pts = np.atleast_2d(points)
+    ctr = DDArray(centers)
+    n = len(ctr)
+    kernel_coef, tail_coef = coef[:n], coef[n:]
+    out = np.empty((len(pts), coef.shape[1]))
+    step = max(1, EVAL_BLOCK // n)
+    for start in range(0, len(pts), step):
+        x = DDArray(pts[start:start + step])
+        values = _kernel_rows(kernel, tensor, x, ctr) @ kernel_coef
+        if tail_degree is not None:
+            values = values + _monomials(x, exponents) @ tail_coef
+        out[start:start + step] = values.to_float()
+    return out

@@ -6,8 +6,10 @@ family are strictly positive definite; the thin plate spline and the
 multiquadric are conditionally positive definite and need a low-degree
 polynomial tail (see :func:`polynomial_tail_degree`).
 
-All evaluators are pure, preserve the input dtype (so extended-precision
-solves can reuse them) and return *exact* zeros outside a compact support.
+All evaluators are pure, preserve the input dtype and return *exact* zeros
+outside a compact support.  The formulas themselves (``_radial``,
+``_univariate``) take any array type with float arithmetic: float64, 80-bit
+longdouble, or the double-double arrays of the solver's top rung.
 """
 
 from __future__ import annotations
@@ -126,6 +128,27 @@ def _wendland_value(group: int, h: int, c: float, r):
     return np.where(u < 1.0, _wendland_poly(group, h, u), zero)
 
 
+def _radial(kernel: RadialKernel, r):
+    """Phi(r) in the precision of the array r."""
+    if isinstance(kernel, Gaussian):
+        return np.exp(-(kernel.alpha * kernel.alpha) * r * r)
+    if isinstance(kernel, ThinPlateSpline):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = r * r * np.log(r)
+        return np.where(r > 0, out, 0.0)
+    if isinstance(kernel, GeneralizedMultiquadric):
+        return (r * r + kernel.gamma * kernel.gamma) ** (kernel.mu / 2.0)
+    if isinstance(kernel, WendlandRadial):
+        group = 1 if kernel.m == 1 else 2
+        return _wendland_value(group, kernel.h, kernel.c, r)
+    raise KernelError(f"unknown radial kernel {kernel!r}")
+
+
+def _univariate(kernel: Wendland1D, x):
+    """phi(|x|) in the precision of the array x."""
+    return _wendland_value(1, kernel.h, kernel.c, np.abs(x))
+
+
 def eval_radial(kernel: RadialKernel, r):
     """Evaluate a radial kernel at distance(s) r >= 0, elementwise."""
     scalar = np.isscalar(r) or np.ndim(r) == 0
@@ -134,19 +157,7 @@ def eval_radial(kernel: RadialKernel, r):
         r = r.astype(float)
     if np.any(r < 0):
         raise ValueError("radial kernels are defined for r >= 0 only")
-    if isinstance(kernel, Gaussian):
-        out = np.exp(-(kernel.alpha * kernel.alpha) * r * r)
-    elif isinstance(kernel, ThinPlateSpline):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = r * r * np.log(r)
-        out = np.where(r > 0, out, np.zeros((), dtype=r.dtype))
-    elif isinstance(kernel, GeneralizedMultiquadric):
-        out = (r * r + kernel.gamma * kernel.gamma) ** (kernel.mu / 2.0)
-    elif isinstance(kernel, WendlandRadial):
-        group = 1 if kernel.m == 1 else 2
-        out = _wendland_value(group, kernel.h, kernel.c, r)
-    else:
-        raise KernelError(f"unknown radial kernel {kernel!r}")
+    out = _radial(kernel, r)
     return out.item() if scalar else out
 
 
@@ -158,7 +169,7 @@ def eval_univariate(kernel: Wendland1D, x):
     x = np.asarray(x)
     if x.dtype.kind != "f":
         x = x.astype(float)
-    out = _wendland_value(1, kernel.h, kernel.c, np.abs(x))
+    out = _univariate(kernel, x)
     return out.item() if scalar else out
 
 

@@ -33,10 +33,14 @@ def _check_order(n, a, cap):
         raise ValueError("support half-width a must be positive")
 
 
-def _base_box(x, a, dtype):
-    """f_1 on the half-open interval [-a, a)."""
-    height = dtype.type(1) / (dtype.type(2) * dtype.type(a))
-    return np.where((x >= -a) & (x < a), height, dtype.type(0))
+def _as_float(x):
+    x = np.asarray(x)
+    return x if x.dtype.kind == "f" else x.astype(float)
+
+
+def _base_box(x, a, one):
+    """f_1 on the half-open interval [-a, a); a is in x's precision."""
+    return np.where((x >= -a) & (x < a), one / (2 * a), 0)
 
 
 def eval_fn_explicit(n: int, a: float, x):
@@ -49,7 +53,7 @@ def eval_fn_explicit(n: int, a: float, x):
     scalar = np.isscalar(x) or np.ndim(x) == 0
     x = np.asarray(x, dtype=float)
     if n == 1:
-        out = _base_box(x, a, np.dtype(float))
+        out = _base_box(x, np.float64(a), np.float64(1))
         return out.item() if scalar else out
     y = -np.abs(x)
     total = np.zeros_like(y)
@@ -69,25 +73,27 @@ def eval_fn_recurrence(n: int, a: float, x):
     """
     _check_order(n, a, RECURRENCE_MAX_ORDER)
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.asarray(x)
-    if x.dtype.kind != "f":
-        x = x.astype(float)
-    dtype = x.dtype
-    a_t = dtype.type(a)
+    x = _as_float(x)
+    out = _recurrence(n, a, x, x.dtype.type(1))
+    return out.item() if scalar else out
+
+
+def _recurrence(n: int, a: float, x, one):
+    """f_n(x) by the three-term recurrence, in the precision of ``one`` (1 in
+    the array type of x), so that every constant is formed at that precision."""
+    a = one * a
     if n == 1:
-        out = _base_box(x, a_t, dtype)
-        return out.item() if scalar else out
-    level_values = {j: _base_box(x + j * a_t, a_t, dtype) for j in range(-(n - 1), n, 2)}
+        return _base_box(x, a, one)
+    level_values = {j: _base_box(x + j * a, a, one) for j in range(-(n - 1), n, 2)}
     for level in range(2, n + 1):
-        la = level * a_t
-        denom = dtype.type(2) * a_t * dtype.type(level - 1)
+        la = level * a
+        denom = 2 * a * (level - 1)
         level_values = {
-            j: ((la + (x + j * a_t)) * level_values[j + 1]
-                + (la - (x + j * a_t)) * level_values[j - 1]) / denom
+            j: ((la + (x + j * a)) * level_values[j + 1]
+                + (la - (x + j * a)) * level_values[j - 1]) / denom
             for j in range(-(n - level), n - level + 1, 2)
         }
-    out = np.where(np.abs(x) < n * a_t, level_values[0], dtype.type(0))
-    return out.item() if scalar else out
+    return np.where(np.abs(x) < n * a, level_values[0], 0)
 
 
 def eval_fn_star(n: int, x):
@@ -96,17 +102,19 @@ def eval_fn_star(n: int, x):
     f*_n(x) = a sqrt(n/3) f_n(a sqrt(n/3) x) for any a; the a's cancel, so
     a = 1 is used internally.
     """
+    _check_order(n, 1.0, RECURRENCE_MAX_ORDER)
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.asarray(x)
-    if x.dtype.kind != "f":
-        x = x.astype(float)
-    dtype = x.dtype
-    s = np.sqrt(dtype.type(n) / dtype.type(3))
+    x = _as_float(x)
+    out = _fn_star(n, x, x.dtype.type(1))
+    return out.item() if scalar else out
+
+
+def _fn_star(n: int, x, one):
+    s = np.sqrt(one * n / 3)
     # mask on the exact support [-sqrt(3n), sqrt(3n)]: the internal argument
     # scaling can round an endpoint to just inside the f_n support
-    limit = np.sqrt(dtype.type(3) * dtype.type(n))
-    out = np.where(np.abs(x) < limit, s * eval_fn_recurrence(n, 1.0, s * x), dtype.type(0))
-    return out.item() if scalar else out
+    limit = np.sqrt(one * 3 * n)
+    return np.where(np.abs(x) < limit, s * _recurrence(n, 1.0, s * x, one), 0)
 
 
 @dataclass(frozen=True)
@@ -149,3 +157,10 @@ def eval_spline(spline: LobachevskySpline, x):
     if spline.a is not None:
         return eval_fn_recurrence(spline.n, spline.a, x)
     return eval_fn_star(spline.n, np.multiply(spline.alpha, x))
+
+
+def _spline(spline: LobachevskySpline, x, one):
+    """eval_spline in the precision of ``one`` (1 in the array type of x)."""
+    if spline.a is not None:
+        return _recurrence(spline.n, spline.a, x, one)
+    return _fn_star(spline.n, spline.alpha * x, one)

@@ -12,16 +12,18 @@ system
 with M_ij = Phi(||x_i - x_j||) and Q_jk = pi_k(x_j).  The system is
 factored once and back-substituted for all m coordinates.
 
-Solves run on a precision ladder.  float64 LU with monitored iterative
-refinement handles everything well-conditioned.  Flat shape parameters,
-however, drive these matrices to condition numbers far beyond 1/eps
-(observed above 1e18 for flat Gaussians) where the exact coefficient
-vectors grow to ~1e17, so the residual floor eps * ||A|| * ||c|| of any
-fixed-precision pipeline is unreachable in float64 and marginal even in
-80-bit arithmetic; such systems escalate to an mpmath rung.  A transform
-keeps the precision it was solved at and evaluates its kernels at that same
-precision, since rounding its coefficients or kernel values any lower would
-re-inject the full error.
+Solves run on a precision ladder: float64 -> 80-bit -> double-double.
+float64 LU with monitored iterative refinement handles everything
+well-conditioned.  Flat shape parameters, however, drive these matrices to
+condition numbers far beyond 1/eps (up to 4.6e36 for flat Gaussians) where
+the exact coefficient vectors grow to max-norms of 1e30, so the residual
+floor eps * ||A|| * ||c|| of a fixed-precision pipeline is unreachable in
+float64 and marginal even in 80-bit arithmetic; such systems escalate to a
+multi-precision (double-double, about 32 digits) rung, tagged ``"mp"``.
+Where ``np.longdouble`` is no wider than float64 (Windows, macOS on arm64)
+the 80-bit rung is skipped.  A transform keeps the precision it was solved
+at and evaluates its kernels at that same precision, since rounding its
+coefficients or kernel values any lower would re-inject the full error.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from . import _precision
+from ._precision import _refined_solve
 from .kernels import (RadialKernel, Wendland1D, eval_radial, eval_univariate,
                       polynomial_tail_degree)
 from .landmarks import LandmarkSet
@@ -43,8 +46,10 @@ from .lobachevsky import LobachevskySpline, eval_spline
 
 RESIDUAL_LIMIT = 1e-6        # relative to max(1, |t|_inf); the solve failed beyond this
 ESCALATE_THRESHOLD = 1e-11   # float64 residual above this retries in 80-bit precision
-MP_THRESHOLD = 1e-7          # 80-bit residual above this retries in mpmath
+MP_THRESHOLD = 1e-7          # 80-bit residual above this retries in double-double
 ILL_CONDITIONED = 1e16       # warning-flag threshold (double-precision cliff)
+# the 80-bit rung runs only where np.longdouble carries more digits than float64
+LONGDOUBLE_IS_EXTENDED = np.finfo(np.longdouble).nmant > np.finfo(float).nmant
 
 
 class SolveError(RuntimeError):
@@ -209,22 +214,6 @@ def assemble_system(kernel: RadialKernel, landmarks: LandmarkSet) -> SaddleSyste
 # ---------------------------------------------------------------------------
 # the solver ladder
 
-def _refined_solve(matrix, solve_once, rhs, n_interp, max_steps):
-    """Solve with monitored iterative refinement; keep the best iterate."""
-    z = solve_once(rhs)
-    best_z, best_res = z, np.inf
-    for step in range(max_steps + 1):
-        r = rhs - matrix @ z
-        finite = np.isfinite(r).all()
-        res = float(np.abs(r[:n_interp]).max()) if finite else np.inf
-        if res < best_res:
-            best_z, best_res = z, res
-        if not finite or step == max_steps:
-            break
-        z = z + solve_once(np.asarray(r))
-    return best_z, best_res
-
-
 def _condition_from_lu(matrix, lu_piv):
     if lu_piv is None:
         return np.inf
@@ -235,7 +224,7 @@ def _condition_from_lu(matrix, lu_piv):
 
 
 def _solve_dense(problem: _Problem, rhs, context: str):
-    """Solve a system on the float64 -> 80-bit -> mpmath precision ladder.
+    """Solve a system on the float64 -> 80-bit -> double-double precision ladder.
 
     Returns (solution, interpolation residual, condition estimate,
     precision tag).  Raises SolveError when even the top rung leaves the
@@ -260,13 +249,15 @@ def _solve_dense(problem: _Problem, rhs, context: str):
         z, res = _refined_solve(a, lambda b: lu_solve(lu_piv, b), rhs, n_interp, 2)
         if res <= ESCALATE_THRESHOLD * scale:
             return z, res, cond, "double"
-    a_ext = problem.build(np.longdouble)
-    lu_ext, order = _precision.lu_extended(a_ext)
-    z_ext, res_ext = _refined_solve(
-        a_ext, lambda b: _precision.lu_solve_extended(lu_ext, order, b),
-        rhs, n_interp, 3)
-    if res_ext <= min(MP_THRESHOLD * scale, res):
-        return z_ext, res_ext, cond, "longdouble"
+    z_ext, res_ext = None, np.inf
+    if LONGDOUBLE_IS_EXTENDED:
+        a_ext = problem.build(np.longdouble)
+        lu_ext, order = _precision.lu_extended(a_ext)
+        z_ext, res_ext = _refined_solve(
+            a_ext, lambda b: _precision.lu_solve_extended(lu_ext, order, b),
+            rhs, n_interp, 3)
+        if res_ext <= min(MP_THRESHOLD * scale, res):
+            return z_ext, res_ext, cond, "longdouble"
     coef_mp, res_mp = _precision.mp_solve(
         problem.kernel, problem.tensor, problem.sources, problem.tail_degree,
         problem.exponents, rhs)
@@ -315,23 +306,29 @@ class Transformation:
         raise NotImplementedError
 
     def _wrap(self, points):
+        """Points as a finite (P, m) float array, and whether one was given."""
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
+        m = self.landmarks.dimension
+        if pts.ndim not in (1, 2) or pts.shape[-1] != m:
+            raise ValueError(
+                f"points must have shape (P, {m}) or ({m},), got {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite")
         return np.atleast_2d(pts), single
 
 
 class _SolvedTransform(Transformation):
     """Shared machinery for transforms backed by one dense solve."""
 
-    def __init__(self, problem, landmarks, coef, poly_coef,
-                 residual, condition, precision):
+    def __init__(self, problem, landmarks, z, residual, condition, precision):
         self._problem = problem
         self.landmarks = landmarks
-        for arr in (coef, poly_coef):
-            if arr.dtype.kind == "f":
-                arr.setflags(write=False)
-        self.coef = coef
-        self.poly_coef = poly_coef
+        for arr in ((z.hi, z.lo) if precision == "mp" else (z,)):
+            arr.setflags(write=False)
+        self._z = z
+        self.coef = z[:problem.n]        # a DDArray on the "mp" rung
+        self.poly_coef = z[problem.n:]
         self.tail_degree = problem.tail_degree
         self.residual = residual
         self.condition = condition
@@ -342,9 +339,8 @@ class _SolvedTransform(Transformation):
         pts, single = self._wrap(points)
         problem = self._problem
         if self.precision == "mp":
-            coef = np.vstack([self.coef, self.poly_coef])
             out = _precision.mp_evaluate(
-                problem.kernel, problem.tensor, coef, problem.tail_degree,
+                problem.kernel, problem.tensor, self._z, problem.tail_degree,
                 problem.exponents, pts, problem.sources)
         else:
             dtype = np.longdouble if self.precision == "longdouble" else np.dtype(float)
@@ -394,8 +390,7 @@ def solve_transform(kernel: RadialKernel, landmarks: LandmarkSet) -> GlobalRadia
     problem = _Problem(kernel, False, landmarks.sources, degree)
     rhs = np.vstack([landmarks.targets, np.zeros((u, dim))])
     z, res, cond, precision = _solve_dense(problem, rhs, type(kernel).__name__)
-    return GlobalRadialTransform(problem, landmarks, z[:n], z[n:],
-                                 res, cond, precision)
+    return GlobalRadialTransform(problem, landmarks, z, res, cond, precision)
 
 
 def build_tensor_transform(kernel, landmarks: LandmarkSet) -> TensorProductTransform:
@@ -412,5 +407,4 @@ def build_tensor_transform(kernel, landmarks: LandmarkSet) -> TensorProductTrans
     problem = _Problem(kernel, True, landmarks.sources, None)
     z, res, cond, precision = _solve_dense(
         problem, np.array(landmarks.targets), f"{type(kernel).__name__} tensor")
-    return TensorProductTransform(problem, landmarks, z, np.zeros((0, landmarks.dimension)),
-                                  res, cond, precision)
+    return TensorProductTransform(problem, landmarks, z, res, cond, precision)

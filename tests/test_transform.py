@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from landreg.bench import CaseSpec, gen_case
+from landreg.bench import CaseSpec, build_method, gen_case
 from landreg.kernels import (Gaussian, ThinPlateSpline, Wendland1D,
                              WendlandRadial)
 from landreg.landmarks import LandmarkSet
@@ -289,3 +289,18 @@ def test_interpolation_residual_recorded():
     direct = np.abs(t(src) - lm.targets).max()
     assert t.residual <= 1e-10
     assert direct <= max(1e-10, 2 * t.residual + 1e-14)
+
+
+@pytest.mark.parametrize("method, value", [
+    ("tps", None), ("g", 1.2), ("w2-2d", 0.6), ("w2-1dx1d", 0.6), ("l4", 1.2),
+    ("shep-tps", None)])
+def test_transform_rejects_non_finite_and_misshaped_points(method, value):
+    landmarks, _, _ = gen_case(CaseSpec("square-shift-32"))
+    t = build_method(method, landmarks, "square-shift-32", value)
+    assert t([0.5, 0.5]).shape == (2,) and t(np.zeros((0, 2))).shape == (0, 2)
+    for bad in ([[np.nan, 0.5]], [0.5, np.inf], [[0.1, 0.2], [0.3, -np.inf]]):
+        with pytest.raises(ValueError, match="finite"):
+            t(bad)
+    for bad in ([[0.1, 0.2, 0.3]], [0.5], np.zeros((2, 2, 2)), 0.5):
+        with pytest.raises(ValueError, match="shape"):
+            t(bad)
