@@ -57,33 +57,46 @@ def _refined_solve(matrix, solve_once, rhs, n_interp, max_steps):
 # 80-bit extended precision (numpy longdouble)
 
 def lu_extended(a):
-    """Partial-pivot LU in extended precision.  Returns (LU, row order)."""
+    """Partial-pivot LU in extended precision.  Returns (LU, row order).
+
+    The systems are small (Shepard's nodal solves have 25 rows), so numpy
+    call overhead outweighs arithmetic: each step uses the cheapest calls,
+    a row swap by copies and a broadcast rank-one update.
+    """
     lu = a.astype(np.longdouble, copy=True)
     n = lu.shape[0]
     order = np.arange(n)
     for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        p = k + int(np.abs(lu[k:, k]).argmax())
         if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            order[[k, p]] = order[[p, k]]
-        if lu[k, k] == 0:
+            row = lu[k].copy()
+            lu[k] = lu[p]
+            lu[p] = row
+            order[k], order[p] = order[p], order[k]
+        pivot = lu[k, k]
+        if pivot == 0:
             continue
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+        col = lu[k + 1:, k]
+        col /= pivot
+        lu[k + 1:, k + 1:] -= col[:, None] * lu[k, k + 1:]
     return lu, order
 
 
 def lu_solve_extended(lu, order, rhs):
-    x = rhs.astype(np.longdouble)[order].copy()
+    """Solve with the factors of lu_extended by row-wise substitution."""
+    x = rhs.astype(np.longdouble)[order]
     n = lu.shape[0]
+    rows = list(x.reshape(n, -1))     # views: updating a row updates x
     for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
+        rows[k] -= np.dot(lu[k, :k], x[:k])
+    diagonal = lu.diagonal()
     for k in range(n - 1, -1, -1):
-        x[k] -= lu[k, k + 1:] @ x[k + 1:]
-        if lu[k, k] != 0:
-            x[k] /= lu[k, k]
+        row = rows[k]
+        row -= np.dot(lu[k, k + 1:], x[k + 1:])
+        if diagonal[k] != 0:
+            row /= diagonal[k]
         else:
-            x[k] = np.nan
+            row[...] = np.nan
     return x
 
 

@@ -35,7 +35,8 @@ from itertools import combinations_with_replacement
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dgetrs
 
 from . import _precision
 from ._precision import _refined_solve
@@ -214,10 +215,22 @@ def assemble_system(kernel: RadialKernel, landmarks: LandmarkSet) -> SaddleSyste
 # ---------------------------------------------------------------------------
 # the solver ladder
 
+def _lu_solve(lu_piv, b):
+    """scipy.linalg.lu_solve for float64 factors and finite b, minus its wrapper.
+
+    The same LAPACK getrs call; skipping scipy's argument checks and batch
+    dispatch matters for the many small systems of Shepard's nodal solves.
+    """
+    x, info = dgetrs(lu_piv[0], lu_piv[1], b)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
+    return x
+
+
 def _condition_from_lu(matrix, lu_piv):
     if lu_piv is None:
         return np.inf
-    inv = lu_solve(lu_piv, np.eye(matrix.shape[0]))
+    inv = _lu_solve(lu_piv, np.eye(matrix.shape[0]))
     if not np.isfinite(inv).all():
         return np.inf
     return float(np.abs(matrix).sum(0).max() * np.abs(inv).sum(0).max())
@@ -246,7 +259,7 @@ def _solve_dense(problem: _Problem, rhs, context: str):
     z = None
     res = np.inf
     if lu_piv is not None:
-        z, res = _refined_solve(a, lambda b: lu_solve(lu_piv, b), rhs, n_interp, 2)
+        z, res = _refined_solve(a, lambda b: _lu_solve(lu_piv, b), rhs, n_interp, 2)
         if res <= ESCALATE_THRESHOLD * scale:
             return z, res, cond, "double"
     z_ext, res_ext = None, np.inf

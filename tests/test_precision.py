@@ -88,3 +88,22 @@ def test_ladder_skips_80bit_where_longdouble_is_double(monkeypatch):
     t = solve_transform(Gaussian(0.2), landmarks)
     assert t.precision == "mp"
     assert np.abs(t(landmarks.sources) - landmarks.targets).max() <= 1e-6
+
+
+def test_extended_lu_solves_with_row_pivoting():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((12, 12))
+    a[[0, 5]] = a[[5, 0]] * 1e-3           # force row exchanges
+    lu, order = _precision.lu_extended(a)
+    assert lu.dtype == np.longdouble and sorted(order) == list(range(12))
+    for rhs in (rng.standard_normal((12, 3)), rng.standard_normal(12)):
+        x = _precision.lu_solve_extended(lu, order, rhs)
+        assert x.shape == rhs.shape and x.dtype == np.longdouble
+        assert np.allclose(x.astype(float), np.linalg.solve(a, rhs), rtol=1e-12, atol=1e-12)
+
+
+def test_extended_lu_marks_a_zero_pivot():
+    a = np.array([[1.0, 2.0], [2.0, 4.0]])
+    lu, order = _precision.lu_extended(a)
+    x = _precision.lu_solve_extended(lu, order, np.array([1.0, 1.0]))
+    assert np.isnan(x[-1])
