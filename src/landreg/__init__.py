@@ -20,24 +20,22 @@ from .lobachevsky import (LobachevskySpline, eval_fn_explicit,
                           eval_fn_recurrence, eval_fn_star)
 from .shepard import (NodalSolveError, ShepardConfig, ShepardTransform,
                       build_nodal_interpolants, build_shepard_transform,
-                      evaluate_shepard, nearest_landmarks, shepard_weights)
-from .transform import (GlobalRadialTransform, SaddleSystem, SolveError,
+                      nearest_landmarks)
+from .transform import (GlobalRadialTransform, SolveError,
                         TensorProductTransform, Transformation,
-                        assemble_system, build_tensor_transform,
-                        condition_estimate, evaluate, solve_transform)
+                        build_tensor_transform, solve_transform)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CaseSpec", "EvaluationGrid", "Gaussian", "GeneralizedMultiquadric",
     "GlobalRadialTransform", "KernelError", "LandmarkSet",
-    "LobachevskySpline", "NodalSolveError", "SaddleSystem", "ShepardConfig",
+    "LobachevskySpline", "NodalSolveError", "ShepardConfig",
     "ShepardTransform", "SolveError", "SweepReport", "TensorProductTransform",
     "ThinPlateSpline", "Transformation", "Wendland1D", "WendlandRadial",
-    "assemble_system", "build_nodal_interpolants", "build_shepard_transform",
-    "build_tensor_transform", "condition_estimate", "default_grid",
-    "eval_fn_explicit", "eval_fn_recurrence", "eval_fn_star", "eval_radial",
-    "eval_univariate", "evaluate", "evaluate_shepard", "gen_case",
-    "nearest_landmarks", "polynomial_tail_degree", "real_life_run", "rmse",
-    "shepard_weights", "solve_transform", "support_radius", "sweep",
+    "build_nodal_interpolants", "build_shepard_transform",
+    "build_tensor_transform", "default_grid", "eval_fn_explicit",
+    "eval_fn_recurrence", "eval_fn_star", "eval_radial", "eval_univariate",
+    "gen_case", "nearest_landmarks", "polynomial_tail_degree",
+    "real_life_run", "rmse", "solve_transform", "support_radius", "sweep",
 ]

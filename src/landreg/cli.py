@@ -26,10 +26,6 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _fmt(value) -> str:
-    return "" if value is None else format(float(value), ".17g")
-
-
 def _cmd_gen_case(args) -> int:
     landmarks, _, _ = bench.gen_case(bench.CaseSpec(args.case))
     _write(args.out, io.write_landmarks(landmarks))
@@ -54,12 +50,12 @@ def _sweep_csv(report: bench.SweepReport) -> str:
             report.method,
             report.case_kind,
             report.parameter or "",
-            _fmt(value),
-            _fmt(err),
-            _fmt(cond),
+            io._fmt(value),
+            io._fmt(err),
+            io._fmt(cond),
             "1" if optimal and err is not None else "0",
-            _fmt(report.reported_value) if optimal else "",
-            _fmt(report.reported_rmse) if optimal else "",
+            io._fmt(report.reported_value) if optimal else "",
+            io._fmt(report.reported_rmse) if optimal else "",
         ]))
     return "\n".join(lines) + "\n"
 
@@ -90,7 +86,7 @@ def _cmd_rmse(args) -> int:
     if points_a.shape != points_b.shape or not np.allclose(points_a, points_b, atol=1e-15):
         raise ValueError("grid files do not share the same evaluation points")
     delta = values_a - values_b
-    print(_fmt(float(np.sqrt((delta * delta).sum(axis=1).mean()))))
+    print(io._fmt(np.sqrt((delta * delta).sum(axis=1).mean())))
     return 0
 
 
@@ -107,8 +103,8 @@ def _cmd_real_life(args) -> int:
     lines = ["method,parameter,value,rmse,reported_rmse"]
     for row in bench.real_life_run():
         lines.append(",".join([
-            row.method, row.parameter or "", _fmt(row.value),
-            _fmt(row.rmse), _fmt(row.reported_rmse),
+            row.method, row.parameter or "", io._fmt(row.value),
+            io._fmt(row.rmse), io._fmt(row.reported_rmse),
         ]))
     _write(args.out, "\n".join(lines) + "\n")
     return 0

@@ -31,8 +31,9 @@ class ConfigError(ValueError):
     """Invalid or incomplete method configuration."""
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _fmt(x) -> str:
+    """17 significant digits (lossless for doubles); "" for a missing value."""
+    return "" if x is None else format(float(x), ".17g")
 
 
 def _parse_float(token: str, lineno: int) -> float:

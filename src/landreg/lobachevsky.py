@@ -140,16 +140,12 @@ class LobachevskySpline:
             raise ValueError("shape parameter must be positive")
 
     def support(self) -> tuple[float, float]:
+        """Closed support interval of the spline in its chosen parameterization."""
         if self.a is not None:
             half = self.n * self.a
         else:
             half = math.sqrt(3.0 * self.n) / self.alpha
         return (-half, half)
-
-
-def support(spline: LobachevskySpline) -> tuple[float, float]:
-    """Closed support interval of the spline in its chosen parameterization."""
-    return spline.support()
 
 
 def eval_spline(spline: LobachevskySpline, x):

@@ -22,13 +22,16 @@ from .transform import (GlobalRadialTransform, SolveError, Transformation,
                         solve_transform, tail_dimension)
 
 
+SNAP_RADIUS = 1e-12   # points this close to a landmark take its weight alone
+
+
 class NodalSolveError(SolveError):
     """A nodal interpolant could not be solved (neighborhood degenerate)."""
 
 
 @dataclass(frozen=True)
 class ShepardConfig:
-    """Locality parameters: neighborhood sizes, hypercube rule, snap radius.
+    """Locality parameters: neighborhood sizes and hypercube rule.
 
     ``rho = None`` sizes each hypercube automatically as twice the distance
     from its landmark to that landmark's N_W-th nearest neighbor, so the
@@ -40,15 +43,12 @@ class ShepardConfig:
     n_l: int
     n_w: int
     rho: float | None = None
-    epsilon_snap: float = 1e-12
 
     def __post_init__(self):
         if self.n_l < 1 or self.n_w < 1:
             raise ValueError("neighborhood sizes n_l and n_w must be >= 1")
         if self.rho is not None and not self.rho > 0:
             raise ValueError("fixed hypercube side rho must be positive")
-        if not self.epsilon_snap > 0:
-            raise ValueError("epsilon_snap must be positive")
 
 
 def _validate(cfg: ShepardConfig, landmarks: LandmarkSet):
@@ -119,19 +119,12 @@ def _weights_matrix(landmarks: LandmarkSet, cfg: ShepardConfig, rho, pts) -> np.
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = np.where(tau, 1.0 / d2, 0.0)
         wbar = weights / weights.sum(axis=1)[:, None]
-    snapped = d2.min(axis=1) < cfg.epsilon_snap ** 2
+    snapped = d2.min(axis=1) < SNAP_RADIUS ** 2
     if snapped.any():
-        hit = np.argmax(d2[snapped] < cfg.epsilon_snap ** 2, axis=1)
+        hit = np.argmax(d2[snapped] < SNAP_RADIUS ** 2, axis=1)
         wbar[snapped] = 0.0
         wbar[np.flatnonzero(snapped), hit] = 1.0
     return wbar
-
-
-def shepard_weights(landmarks: LandmarkSet, cfg: ShepardConfig, x) -> np.ndarray:
-    """Partition-of-unity weight vector Wbar(x) of length N."""
-    _validate(cfg, landmarks)
-    rho = node_radii(landmarks, cfg)
-    return _weights_matrix(landmarks, cfg, rho, np.atleast_2d(np.asarray(x, float)))[0]
 
 
 def _evaluate(cfg, landmarks, rho, nodal, pts):
@@ -143,15 +136,6 @@ def _evaluate(cfg, landmarks, rho, nodal, pts):
         if active.any():
             out[active] += col[active, None] * nf.interpolant(pts[active])
     return out
-
-
-def evaluate_shepard(landmarks: LandmarkSet, cfg: ShepardConfig, nodal, x):
-    """Evaluate F(x) = sum_j Wbar_j(x) L_j(x), summing only active terms."""
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    rho = node_radii(landmarks, cfg)
-    out = _evaluate(cfg, landmarks, rho, nodal, np.atleast_2d(pts))
-    return out[0] if single else out
 
 
 class ShepardTransform(Transformation):

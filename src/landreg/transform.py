@@ -119,40 +119,6 @@ def _tensor_matrix(kernel, x, centers):
 
 
 @dataclass(frozen=True)
-class SaddleSystem:
-    """Assembled interpolation system (float64 view)."""
-
-    kernel_matrix: np.ndarray   # (N, N) symmetric
-    poly_matrix: np.ndarray     # (N, U); U = 0 when the kernel needs no tail
-    targets: np.ndarray         # (N, m); one right-hand side per coordinate
-
-    @property
-    def n(self) -> int:
-        return self.kernel_matrix.shape[0]
-
-    @property
-    def tail_size(self) -> int:
-        return self.poly_matrix.shape[1]
-
-    def full_matrix(self) -> np.ndarray:
-        """The (N+U) x (N+U) symmetric saddle matrix [[M, Q], [Q^T, 0]]."""
-        n, u = self.n, self.tail_size
-        if u == 0:
-            return self.kernel_matrix
-        full = np.zeros((n + u, n + u))
-        full[:n, :n] = self.kernel_matrix
-        full[:n, n:] = self.poly_matrix
-        full[n:, :n] = self.poly_matrix.T
-        return full
-
-    def full_rhs(self) -> np.ndarray:
-        if self.tail_size == 0:
-            return self.targets
-        pad = np.zeros((self.tail_size, self.targets.shape[1]))
-        return np.vstack([self.targets, pad])
-
-
-@dataclass(frozen=True)
 class _Problem:
     """One interpolation system: kernel, geometry, optional polynomial tail."""
 
@@ -171,45 +137,27 @@ class _Problem:
             return []
         return monomial_exponents(self.sources.shape[1], self.tail_degree)
 
-    @property
-    def tail_size(self) -> int:
-        return len(self.exponents)
-
-    def kernel_block(self, dtype):
-        src = self.sources.astype(dtype)
+    def kernel_rows(self, x):
+        """Kernel matrix between points x (P, m) and the sources, in x's dtype."""
+        src = self.sources.astype(x.dtype)
         if self.tensor:
-            return _tensor_matrix(self.kernel, src, src)
-        return eval_radial(self.kernel, _pairwise_distances(src, src))
+            return _tensor_matrix(self.kernel, x, src)
+        return eval_radial(self.kernel, _pairwise_distances(x, src))
 
     def build(self, dtype):
-        m_mat = self.kernel_block(dtype)
-        u = self.tail_size
+        """The (N+U) x (N+U) saddle matrix [[M, Q], [Q^T, 0]] (M alone when U = 0)."""
+        src = self.sources.astype(dtype)
+        m_mat = self.kernel_rows(src)
+        u = len(self.exponents)
         if u == 0:
             return m_mat
         n = self.n
-        q_mat = monomial_matrix(self.sources.astype(dtype), self.tail_degree)
+        q_mat = monomial_matrix(src, self.tail_degree)
         full = np.zeros((n + u, n + u), dtype=dtype)
         full[:n, :n] = m_mat
         full[:n, n:] = q_mat
         full[n:, :n] = q_mat.T
         return full
-
-
-def assemble_system(kernel: RadialKernel, landmarks: LandmarkSet) -> SaddleSystem:
-    """Assemble M, Q and the per-coordinate targets for a radial kernel."""
-    degree = polynomial_tail_degree(kernel)
-    u = tail_dimension(landmarks.dimension, degree)
-    if u and u >= landmarks.n:
-        raise ValueError(
-            f"polynomial tail needs more landmarks: U = {u} must be < N = {landmarks.n}"
-        )
-    problem = _Problem(kernel, False, landmarks.sources, degree)
-    if u:
-        q_mat = monomial_matrix(landmarks.sources, degree)
-    else:
-        q_mat = np.zeros((landmarks.n, 0))
-    return SaddleSystem(problem.kernel_block(np.dtype(float)), q_mat,
-                        np.array(landmarks.targets))
 
 
 # ---------------------------------------------------------------------------
@@ -286,22 +234,6 @@ def _solve_dense(problem: _Problem, rhs, context: str):
     return best_z, best_res, cond, precision
 
 
-def condition_estimate(system: SaddleSystem) -> float:
-    """1-norm condition estimate of the full saddle matrix (exact inverse)."""
-    a = system.full_matrix()
-    if a.shape[0] == 1:
-        return 1.0 if a[0, 0] != 0 else np.inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            lu_piv = lu_factor(a, check_finite=False)
-            if np.abs(np.diag(lu_piv[0])).min() == 0.0:
-                return np.inf
-        except ValueError:
-            return np.inf
-    return _condition_from_lu(a, lu_piv)
-
-
 # ---------------------------------------------------------------------------
 # transformations
 
@@ -358,12 +290,7 @@ class _SolvedTransform(Transformation):
         else:
             dtype = np.longdouble if self.precision == "longdouble" else np.dtype(float)
             x = pts.astype(dtype)
-            src = problem.sources.astype(dtype)
-            if problem.tensor:
-                k = _tensor_matrix(problem.kernel, x, src)
-            else:
-                k = eval_radial(problem.kernel, _pairwise_distances(x, src))
-            out = k @ self.coef
+            out = problem.kernel_rows(x) @ self.coef
             if problem.tail_degree is not None:
                 out = out + monomial_matrix(x, problem.tail_degree) @ self.poly_coef
             out = np.asarray(out, dtype=float)
@@ -384,11 +311,6 @@ class TensorProductTransform(_SolvedTransform):
     """F_k(x) = sum_j c_jk psi(x_1 - x_j1) ... psi(x_m - x_jm)."""
 
     kind = "tensor-product"
-
-
-def evaluate(transform: Transformation, x):
-    """Evaluate F(x); accepts a single point (m,) or a batch (P, m)."""
-    return transform(x)
 
 
 def solve_transform(kernel: RadialKernel, landmarks: LandmarkSet) -> GlobalRadialTransform:

@@ -1,0 +1,63 @@
+"""The public names and the call sites the benchmark's tracer wraps.
+
+perfbench/spans.py reassigns the attributes listed in its WRAPS table by
+name, so renaming or deleting one of them breaks only traced benchmark
+runs.  These tests load that module read-only and check its names here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import landreg
+from landreg.kernels import ThinPlateSpline
+from landreg.landmarks import LandmarkSet
+from landreg.transform import solve_transform
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_public_names_resolve():
+    assert len(set(landreg.__all__)) == len(landreg.__all__)
+    for name in landreg.__all__:
+        assert getattr(landreg, name) is not None, name
+
+
+def test_traced_call_sites_exist():
+    spans = load_spans()
+    for owner, attr, *_ in spans.WRAPS:
+        assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
+
+
+def test_traced_solve_and_evaluation_record_spans():
+    spans = load_spans()
+    src = np.array([[0.1, 0.1], [0.9, 0.1], [0.1, 0.9], [0.9, 0.9], [0.5, 0.4]])
+    landmarks = LandmarkSet(src, src + 0.01)
+    originals = {(owner, attr): owner.__dict__[attr] for owner, attr, *_ in spans.WRAPS}
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        t = solve_transform(ThinPlateSpline(), landmarks)
+        t(np.array([[0.3, 0.3], [0.7, 0.6]]))
+    finally:
+        tracer.active = False
+        tracer.restore()
+    assert all(owner.__dict__[attr] is original
+               for (owner, attr), original in originals.items())
+    calls = tracer.calls()
+    for name in ("transform.solve", "transform.assemble", "transform.lu64",
+                 "transform.cond_est", "transform.refine", "transform.eval64",
+                 "kernels.eval_radial"):
+        assert calls.get(name, 0) >= 1, name
+    metrics = tracer.layer_metrics(1)
+    assert metrics["transform.rung_double"] == 1
+    assert metrics["transform.eval_points"] == 2

@@ -1,5 +1,8 @@
+import csv
+
 import numpy as np
 
+from landreg import bench
 from landreg.cli import cli_main
 
 
@@ -58,6 +61,20 @@ def test_sweep_requires_reference(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 2  # header + single parameter-free row
     assert lines[1].startswith("tps,square-shift-32,")
+
+
+def test_sweep_csv_fields_of_a_parameter_free_method(tmp_path):
+    out = tmp_path / "report.csv"
+    assert run("sweep", "--case", "square-shift-32", "--method", "tps",
+               "--reference", "identity", "--out", str(out)) == 0
+    with open(out, newline="") as handle:
+        (row,) = list(csv.DictReader(handle))
+    assert row["parameter"] == row["value"] == row["reported_value"] == ""
+    report = bench.sweep("tps", bench.CaseSpec("square-shift-32"))
+    assert float(row["rmse"]) == report.rmses[0]
+    assert float(row["condition"]) == report.conditions[0]
+    assert float(row["reported_rmse"]) == report.reported_rmse
+    assert row["optimal"] == "1"
 
 
 def test_sweep_truth_reference_needs_ground_truth(tmp_path, capsys):

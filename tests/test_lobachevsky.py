@@ -5,7 +5,7 @@ import pytest
 
 from landreg.lobachevsky import (LobachevskySpline, eval_fn_explicit,
                                  eval_fn_recurrence, eval_fn_star,
-                                 eval_spline, support)
+                                 eval_spline)
 
 
 def simpson(values, spacing):
@@ -151,10 +151,10 @@ def test_domain_and_overflow_guards():
 
 
 def test_spline_spec_and_support():
-    assert support(LobachevskySpline(4, a=1.0)) == (-4.0, 4.0)
-    lo, hi = support(LobachevskySpline(6, alpha=1.0))
+    assert LobachevskySpline(4, a=1.0).support() == (-4.0, 4.0)
+    lo, hi = LobachevskySpline(6, alpha=1.0).support()
     assert hi == pytest.approx(math.sqrt(18.0), rel=1e-15) and lo == -hi
-    lo, hi = support(LobachevskySpline(4, alpha=2.0))
+    lo, hi = LobachevskySpline(4, alpha=2.0).support()
     assert hi == pytest.approx(math.sqrt(12.0) / 2.0, rel=1e-15)
     with pytest.raises(ValueError):
         LobachevskySpline(4)

@@ -3,10 +3,10 @@ import pytest
 
 from landreg.kernels import Gaussian, ThinPlateSpline
 from landreg.landmarks import LandmarkSet
-from landreg.shepard import (NodalSolveError, ShepardConfig,
-                             build_nodal_interpolants,
-                             build_shepard_transform, evaluate_shepard,
-                             nearest_landmarks, node_radii, shepard_weights)
+from landreg.shepard import (SNAP_RADIUS, NodalSolveError, ShepardConfig,
+                             _weights_matrix, build_nodal_interpolants,
+                             build_shepard_transform, nearest_landmarks,
+                             node_radii)
 
 
 def square_cloud(n_side=5, lo=0.1, hi=0.9, jitter=0.0, seed=0):
@@ -24,6 +24,12 @@ def displaced(src, seed=1, amplitude=0.04):
 
 
 TPS_CFG = ShepardConfig(ThinPlateSpline(), n_l=10, n_w=8)
+
+
+def shepard_weights(lm, cfg, x):
+    """Partition-of-unity weight vector Wbar(x) of length N at one point x."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    return _weights_matrix(lm, cfg, node_radii(lm, cfg), pts)[0]
 
 
 def test_nearest_landmarks_basics():
@@ -106,6 +112,24 @@ def test_weights_are_cardinal_at_landmarks():
         assert np.array_equal(w, expected)
 
 
+def test_points_within_snap_radius_take_the_landmark_target():
+    src = square_cloud(4, jitter=0.03, seed=3)
+    lm = LandmarkSet(src, displaced(src, seed=14))
+    # one-landmark Gaussian nodal functions: L_j(x) = t_j exp(-|x - x_j|^2),
+    # and exp(-r^2) rounds to exactly 1 for r below the snap radius
+    cfg = ShepardConfig(Gaussian(1.0), n_l=1, n_w=6)
+    t = build_shepard_transform(lm, cfg)
+    j = 5
+    near = lm.sources[j] + [0.5 * SNAP_RADIUS, 0.0]
+    assert not np.array_equal(near, lm.sources[j])
+    expected = np.zeros(lm.n)
+    expected[j] = 1.0
+    assert np.array_equal(shepard_weights(lm, cfg, near), expected)
+    assert np.array_equal(t(near), lm.targets[j])
+    outside = lm.sources[j] + [2.0 * SNAP_RADIUS, 0.0]
+    assert (shepard_weights(lm, cfg, outside) > 0).sum() > 1
+
+
 def test_weights_partition_of_unity_and_nonnegative():
     src = square_cloud(5, jitter=0.02, seed=4)
     lm = LandmarkSet(src, src)
@@ -152,18 +176,6 @@ def test_identity_targets_reproduced_between_landmarks():
     assert np.abs(t(probes) - probes).max() < 1e-8
 
 
-def test_evaluate_shepard_matches_transform():
-    src = square_cloud(4)
-    lm = LandmarkSet(src, displaced(src, seed=9))
-    cfg = ShepardConfig(ThinPlateSpline(), n_l=8, n_w=6)
-    nodal = build_nodal_interpolants(lm, cfg)
-    t = build_shepard_transform(lm, cfg)
-    x = np.array([0.33, 0.41])
-    assert np.array_equal(evaluate_shepard(lm, cfg, nodal, x), t(x))
-    batch = np.array([[0.33, 0.41], [0.5, 0.5]])
-    assert np.array_equal(evaluate_shepard(lm, cfg, nodal, batch), t(batch))
-
-
 def test_locality_perturbation_is_bit_exact():
     # two well-separated clusters; neighborhoods stay inside one cluster
     rng = np.random.RandomState(10)
@@ -180,7 +192,6 @@ def test_locality_perturbation_is_bit_exact():
     tgt_perturbed[j] += rng.uniform(0.01, 0.05, 2)
     perturbed = build_shepard_transform(LandmarkSet(src, tgt_perturbed), cfg)
 
-    from landreg.shepard import _weights_matrix
     w = _weights_matrix(LandmarkSet(src, tgt), cfg,
                         node_radii(LandmarkSet(src, tgt), cfg), x[None])[0]
     assert w[j] == 0.0

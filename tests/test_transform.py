@@ -5,12 +5,11 @@ import pytest
 
 from landreg.bench import CaseSpec, build_method, gen_case
 from landreg.kernels import (Gaussian, ThinPlateSpline, Wendland1D,
-                             WendlandRadial)
+                             WendlandRadial, polynomial_tail_degree)
 from landreg.landmarks import LandmarkSet
 from landreg.lobachevsky import LobachevskySpline
-from landreg.transform import (SolveError, assemble_system,
-                               build_tensor_transform, condition_estimate,
-                               evaluate, monomial_exponents, monomial_matrix,
+from landreg.transform import (SolveError, _Problem, build_tensor_transform,
+                               monomial_exponents, monomial_matrix,
                                solve_transform)
 
 
@@ -18,6 +17,12 @@ def grid_landmarks(n_side=4, lo=0.1, hi=0.9):
     xs = np.linspace(lo, hi, n_side)
     src = np.array([(x, y) for y in xs for x in xs])
     return src
+
+
+def saddle_matrix(kernel, landmarks):
+    """The float64 system a radial solve factors: [[M, Q], [Q^T, 0]], or M."""
+    problem = _Problem(kernel, False, landmarks.sources, polynomial_tail_degree(kernel))
+    return problem.build(float)
 
 
 # ---------------------------------------------------------------------------
@@ -55,24 +60,22 @@ def test_landmark_arrays_are_immutable():
 
 def test_assemble_gaussian_1d():
     lm = LandmarkSet([[0.0]], [[1.0]])
-    system = assemble_system(Gaussian(1.0), lm)
-    assert np.array_equal(system.kernel_matrix, [[1.0]])
-    assert system.poly_matrix.shape == (1, 0)
+    assert np.array_equal(saddle_matrix(Gaussian(1.0), lm), [[1.0]])  # no tail block
     lm2 = LandmarkSet([[0.0], [1.0]], [[1.0], [0.0]])
-    system2 = assemble_system(Gaussian(1.0), lm2)
+    system2 = saddle_matrix(Gaussian(1.0), lm2)
     e1 = math.exp(-1.0)
-    assert np.allclose(system2.kernel_matrix, [[1.0, e1], [e1, 1.0]], atol=1e-16)
+    assert np.allclose(system2, [[1.0, e1], [e1, 1.0]], atol=1e-16)
 
 
 def test_assemble_tps_poly_block():
     src = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.7]])
     lm = LandmarkSet(src, src)
-    system = assemble_system(ThinPlateSpline(), lm)
-    assert system.poly_matrix.shape == (4, 3)
-    assert np.array_equal(system.poly_matrix[:, 0], np.ones(4))
-    assert np.array_equal(system.poly_matrix[:, 1:], src)
-    full = system.full_matrix()
+    full = saddle_matrix(ThinPlateSpline(), lm)
     assert full.shape == (7, 7)
+    poly_matrix = full[:4, 4:]
+    assert np.array_equal(poly_matrix[:, 0], np.ones(4))
+    assert np.array_equal(poly_matrix[:, 1:], src)
+    assert np.array_equal(full[4:, 4:], np.zeros((3, 3)))
     assert np.array_equal(full, full.T)
 
 
@@ -93,7 +96,7 @@ def test_gaussian_two_point_coefficients():
     assert t.coef[1, 0] == pytest.approx(-e1 / (1.0 - e2), rel=1e-12)
     assert t.coef[0, 0] == pytest.approx(1.156518, abs=1e-6)
     assert t.coef[1, 0] == pytest.approx(-0.425459, abs=1e-6)
-    assert evaluate(t, np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-12)
+    assert t(np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tps_identity_targets_reproduce_identity():
@@ -141,8 +144,7 @@ def test_spd_kernels_admit_cholesky():
     src = grid_landmarks()
     lm = LandmarkSet(src, src)
     for kernel in (Gaussian(2.0), WendlandRadial(2, 1, 1.0)):
-        system = assemble_system(kernel, lm)
-        np.linalg.cholesky(system.kernel_matrix)  # raises if not SPD
+        np.linalg.cholesky(saddle_matrix(kernel, lm))  # raises if not SPD
     from landreg.transform import _tensor_matrix
     np.linalg.cholesky(_tensor_matrix(Wendland1D(1, 1.0), src, src))
     np.linalg.cholesky(_tensor_matrix(LobachevskySpline(4, alpha=1.0), src, src))
@@ -151,8 +153,8 @@ def test_spd_kernels_admit_cholesky():
 def test_wendland_small_support_gives_exact_matrix_zeros():
     src = grid_landmarks()  # bounding box edge 0.8
     lm = LandmarkSet(src, src)
-    system = assemble_system(WendlandRadial(2, 1, 5.0), lm)  # support 0.2 < 0.4
-    assert (system.kernel_matrix == 0.0).any()
+    kernel_matrix = saddle_matrix(WendlandRadial(2, 1, 5.0), lm)  # support 0.2 < 0.4
+    assert (kernel_matrix == 0.0).any()
 
 
 def test_wendland_far_field_is_exact_zero():
@@ -248,23 +250,23 @@ def test_odd_lobachevsky_order_rejected():
 
 def test_condition_estimate_trivial_cases():
     lm = LandmarkSet([[0.0]], [[0.5]])
-    system = assemble_system(Gaussian(1.0), lm)
-    assert condition_estimate(system) == 1.0
-    from landreg.transform import SaddleSystem
-    eye_system = SaddleSystem(np.eye(5), np.zeros((5, 0)), np.zeros((5, 1)))
-    assert condition_estimate(eye_system) == pytest.approx(1.0)
+    assert solve_transform(Gaussian(1.0), lm).condition == 1.0
+    # landmarks 1 apart under a support of radius 0.2: the system is the identity
+    src = np.arange(5.0)[:, None]
+    eye_lm = LandmarkSet(src, src + 0.1)
+    assert np.array_equal(saddle_matrix(WendlandRadial(2, 1, 5.0), eye_lm), np.eye(5))
+    assert solve_transform(WendlandRadial(2, 1, 5.0), eye_lm).condition == pytest.approx(1.0)
 
 
 def test_flat_gaussian_is_ill_conditioned_but_solvable():
     landmarks, _, _ = gen_case(CaseSpec("square-shift-32"))
-    system = assemble_system(Gaussian(0.2), landmarks)
-    cond_gauss = condition_estimate(system)
-    assert cond_gauss > 1e12
     t = solve_transform(Gaussian(0.2), landmarks)
+    cond_gauss = t.condition
+    assert cond_gauss > 1e12
     assert t.ill_conditioned
     assert t.precision != "double"  # float64 cannot honor the conditions here
     assert np.abs(t(landmarks.sources) - landmarks.targets).max() <= 1e-6
-    cond_wendland = condition_estimate(assemble_system(WendlandRadial(2, 1, 0.5), landmarks))
+    cond_wendland = solve_transform(WendlandRadial(2, 1, 0.5), landmarks).condition
     assert cond_gauss / cond_wendland >= 1e6
 
 
