@@ -38,9 +38,13 @@ def _as_float(x):
     return x if x.dtype.kind == "f" else x.astype(float)
 
 
-def _base_box(x, a, one):
-    """f_1 on the half-open interval [-a, a); a is in x's precision."""
-    return np.where((x >= -a) & (x < a), one / (2 * a), 0)
+def _base_box(x, a, one, j=0):
+    """f_1(x + j a): 1/(2a) on [-(j + 1) a, -(j - 1) a); a is in x's precision.
+
+    The bounds are integer multiples of a rather than a rounded shift of x,
+    so adjacent boxes share one computed bound and a knot lies in exactly one.
+    """
+    return np.where((x >= -(j + 1) * a) & (x < -(j - 1) * a), one / (2 * a), 0)
 
 
 def eval_fn_explicit(n: int, a: float, x):
@@ -84,7 +88,7 @@ def _recurrence(n: int, a: float, x, one):
     a = one * a
     if n == 1:
         return _base_box(x, a, one)
-    level_values = {j: _base_box(x + j * a, a, one) for j in range(-(n - 1), n, 2)}
+    level_values = {j: _base_box(x, a, one, j) for j in range(-(n - 1), n, 2)}
     for level in range(2, n + 1):
         la = level * a
         denom = 2 * a * (level - 1)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from landreg.lobachevsky import (LobachevskySpline, eval_fn_explicit,
-                                 eval_fn_recurrence, eval_fn_star,
-                                 eval_spline)
+from landreg._dd import DDArray
+from landreg.lobachevsky import (LobachevskySpline, _recurrence,
+                                 eval_fn_explicit, eval_fn_recurrence,
+                                 eval_fn_star, eval_spline)
 
 
 def simpson(values, spacing):
@@ -55,6 +56,23 @@ def test_explicit_equals_recurrence():
             assert (np.abs(explicit - recurrence) <= tol).all(), (n, a)
     assert eval_fn_recurrence(6, 0.5, 0.37) == pytest.approx(
         eval_fn_explicit(6, 0.5, 0.37), abs=1e-12)
+
+
+def test_recurrence_matches_explicit_at_knots():
+    # the knots are the multiples of a; where k * a rounds in float64 (a = 0.3)
+    # a knot must still fall in exactly one half-open base box
+    assert eval_fn_recurrence(4, 0.3, -0.6) == pytest.approx(1.0 / (12 * 0.3), rel=1e-14)
+    for n in range(2, 9):
+        for a in (0.1, 0.2, 0.3, 1.0 / 3.0, 0.35, 0.7, 1.1):
+            knots = np.arange(-n, n + 1) * a
+            recurrence = eval_fn_recurrence(n, a, knots)
+            assert np.allclose(recurrence, eval_fn_explicit(n, a, knots),
+                               rtol=1e-13, atol=0), (n, a)
+            # the double-double rung runs the same recurrence; it resolves the
+            # outer knots, which round to just inside the support, to ~1e-32
+            dd = _recurrence(n, a, DDArray(knots), DDArray(1.0)).to_float()
+            assert np.allclose(dd, recurrence, rtol=1e-13,
+                               atol=1e-15 * recurrence.max()), (n, a)
 
 
 def test_density_integrates_to_one():
