@@ -19,6 +19,8 @@ from typing import Union
 
 import numpy as np
 
+from .lobachevsky import LobachevskySpline
+
 
 class KernelError(ValueError):
     """Invalid kernel configuration (unsupported family parameters)."""
@@ -189,9 +191,15 @@ def polynomial_tail_degree(kernel: RadialKernel):
 
 
 def support_radius(kernel) -> float:
-    """Radius beyond which the kernel is exactly zero (inf if global)."""
+    """Radius beyond which the kernel is exactly zero (inf if global).
+
+    For the univariate tensor factors (Wendland1D, LobachevskySpline) it is
+    the distance along one coordinate.
+    """
     if isinstance(kernel, (WendlandRadial, Wendland1D)):
         return 1.0 / kernel.c
+    if isinstance(kernel, LobachevskySpline):
+        return kernel.support()[1]
     if isinstance(kernel, (Gaussian, ThinPlateSpline, GeneralizedMultiquadric)):
         return np.inf
     raise KernelError(f"unknown kernel {kernel!r}")

@@ -13,6 +13,66 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MIN_SEPARATION = 1e-12
+CHUNK_BYTES = 1 << 22    # size of one (rows, landmarks) block of a chunked points x landmarks pass
+
+
+def chunk_rows(width: int, itemsize: int = 8) -> int:
+    """Rows per chunk, so that a (rows, width) block of the itemsize fits CHUNK_BYTES."""
+    return max(1, CHUNK_BYTES // max(1, width * itemsize))
+
+
+def squared_distances(points, sources):
+    """(P, N) squared Euclidean distances, in the dtype of the operands.
+
+    The per-axis squares are added in coordinate order, the order of numpy's
+    ``sum(-1)`` over m <= 3 coordinates, without a (P, N, m) difference array.
+    """
+    d2 = None
+    for d in range(points.shape[1]):
+        diff = points[:, None, d] - sources[None, :, d]
+        diff *= diff
+        if d2 is None:
+            d2 = diff
+        else:
+            d2 += diff
+    return d2
+
+
+def k_nearest(sources, points, k: int):
+    """The k sources nearest each point: (indices, squared distances), each (P, k).
+
+    Each row is ordered by (squared distance, index), as a stable argsort of
+    the row would order it.  Points are taken in chunks of CHUNK_BYTES; in
+    each row only the candidates within its k-th smallest distance
+    (``np.partition``) are sorted.
+    """
+    n = len(sources)
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..{n}, got {k}")
+    indices = np.empty((len(points), k), dtype=np.intp)
+    dist2 = np.empty((len(points), k))
+    step = chunk_rows(n)
+    for start in range(0, len(points), step):
+        d2 = squared_distances(points[start:start + step], sources)
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        rows, cols = np.nonzero(d2 <= kth)           # row-major: index order within a row
+        vals = d2[rows, cols]
+        order = np.lexsort((vals, rows))              # stable, so ties stay in index order
+        counts = np.bincount(rows, minlength=len(d2))
+        rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        keep = order[rank < k]
+        indices[start:start + len(d2)] = cols[keep].reshape(-1, k)
+        dist2[start:start + len(d2)] = vals[keep].reshape(-1, k)
+    return indices, dist2
+
+
+def _distance_blocks(sources):
+    """(first row, block) over row chunks of the squared distance matrix, diagonal inf."""
+    step = chunk_rows(len(sources))
+    for start in range(0, len(sources), step):
+        d2 = squared_distances(sources[start:start + step], sources)
+        d2[np.arange(len(d2)), np.arange(start, start + len(d2))] = np.inf
+        yield start, d2
 
 
 @dataclass(frozen=True)
@@ -42,15 +102,17 @@ class LandmarkSet:
             quasi = np.asarray(quasi, dtype=bool)
             if quasi.shape != (n,):
                 raise ValueError("quasi flags must have shape (N,)")
-        diff = sources[:, None, :] - sources[None, :, :]
-        dist = np.sqrt((diff * diff).sum(-1))
-        dist[np.diag_indices(n)] = np.inf
-        if dist.min() <= MIN_SEPARATION:
-            i, j = divmod(int(dist.argmin()), n)
-            raise ValueError(
-                f"degenerate input: source landmarks {i} and {j} coincide "
-                f"(separation {dist.min():.3e})"
-            )
+        separation = np.sqrt(min(d2.min() for _, d2 in _distance_blocks(sources)))
+        if separation <= MIN_SEPARATION:
+            # report the first pair in row-major order at that separation
+            for start, d2 in _distance_blocks(sources):
+                hits = np.flatnonzero(np.sqrt(d2) == separation)
+                if len(hits):
+                    i, j = divmod(int(hits[0]), n)
+                    raise ValueError(
+                        f"degenerate input: source landmarks {start + i} and {j} "
+                        f"coincide (separation {separation:.3e})"
+                    )
         if quasi.any() and not np.array_equal(sources[quasi], targets[quasi]):
             raise ValueError("quasi-landmarks must satisfy source == target")
         for arr in (sources, targets, quasi):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import RadialKernel, polynomial_tail_degree
-from .landmarks import LandmarkSet
+from .landmarks import LandmarkSet, k_nearest, squared_distances
 from .transform import (GlobalRadialTransform, SolveError, Transformation,
                         solve_transform, tail_dimension)
 
@@ -66,10 +66,7 @@ def _validate(cfg: ShepardConfig, landmarks: LandmarkSet):
 
 def nearest_landmarks(landmarks: LandmarkSet, x, k: int) -> np.ndarray:
     """Indices of the k source landmarks nearest to x; ties break by index."""
-    if not 1 <= k <= landmarks.n:
-        raise ValueError(f"k must be in 1..{landmarks.n}, got {k}")
-    d2 = ((landmarks.sources - np.asarray(x, dtype=float)) ** 2).sum(1)
-    return np.argsort(d2, kind="stable")[:k]
+    return k_nearest(landmarks.sources, np.asarray(x, dtype=float).reshape(1, -1), k)[0][0]
 
 
 def node_radii(landmarks: LandmarkSet, cfg: ShepardConfig) -> np.ndarray:
@@ -77,9 +74,8 @@ def node_radii(landmarks: LandmarkSet, cfg: ShepardConfig) -> np.ndarray:
     if cfg.rho is not None:
         return np.full(landmarks.n, float(cfg.rho))
     src = landmarks.sources
-    d2 = ((src[:, None, :] - src[None, :, :]) ** 2).sum(-1)
-    d2.sort(axis=1)
-    return 2.0 * np.sqrt(d2[:, cfg.n_w - 1])
+    # the N_W nearest include the landmark itself at distance 0
+    return 2.0 * np.sqrt(k_nearest(src, src, cfg.n_w)[1][:, -1])
 
 
 @dataclass(frozen=True)
@@ -94,9 +90,9 @@ class NodalFunction:
 def build_nodal_interpolants(landmarks: LandmarkSet, cfg: ShepardConfig) -> list[NodalFunction]:
     """Fit one local interpolant per landmark on its N_L nearest sources."""
     _validate(cfg, landmarks)
+    neighbors, _ = k_nearest(landmarks.sources, landmarks.sources, cfg.n_l)
     nodal = []
-    for j in range(landmarks.n):
-        idx = nearest_landmarks(landmarks, landmarks.sources[j], cfg.n_l)
+    for j, idx in enumerate(neighbors):
         try:
             local = solve_transform(cfg.nodal_kernel, landmarks.subset(idx))
         except SolveError as exc:
@@ -108,33 +104,33 @@ def build_nodal_interpolants(landmarks: LandmarkSet, cfg: ShepardConfig) -> list
 def _weights_matrix(landmarks: LandmarkSet, cfg: ShepardConfig, rho, pts) -> np.ndarray:
     """Normalized weights Wbar for a batch of points, shape (P, N)."""
     src = landmarks.sources
-    d2 = ((pts[:, None, :] - src[None, :, :]) ** 2).sum(-1)
-    order = np.argsort(d2, axis=1, kind="stable")
-    among_nearest = np.zeros_like(d2, dtype=bool)
-    np.put_along_axis(among_nearest, order[:, :cfg.n_w], True, axis=1)
-    in_cube = np.abs(pts[:, None, :] - src[None, :, :]).max(-1) <= rho[None, :] / 2.0
-    tau = among_nearest & in_cube
-    uncovered = ~tau.any(axis=1)
-    tau[uncovered] = among_nearest[uncovered]
+    near, d2 = k_nearest(src, pts, cfg.n_w)
+    tau = np.abs(pts[:, None, :] - src[near]).max(-1) <= rho[near] / 2.0
+    tau[~tau.any(axis=1)] = True     # outside every cube: the N_W-nearest rule alone
+    wbar = np.zeros((len(pts), landmarks.n))
     with np.errstate(divide="ignore", invalid="ignore"):
-        weights = np.where(tau, 1.0 / d2, 0.0)
-        wbar = weights / weights.sum(axis=1)[:, None]
-    snapped = d2.min(axis=1) < SNAP_RADIUS ** 2
-    if snapped.any():
-        hit = np.argmax(d2[snapped] < SNAP_RADIUS ** 2, axis=1)
+        wbar[np.arange(len(pts))[:, None], near] = np.where(tau, 1.0 / d2, 0.0)
+        wbar /= wbar.sum(axis=1)[:, None]
+    snapped = np.flatnonzero(d2[:, 0] < SNAP_RADIUS ** 2)
+    if len(snapped):
+        hit = np.argmax(squared_distances(pts[snapped], src) < SNAP_RADIUS ** 2, axis=1)
         wbar[snapped] = 0.0
-        wbar[np.flatnonzero(snapped), hit] = 1.0
+        wbar[snapped, hit] = 1.0
     return wbar
 
 
 def _evaluate(cfg, landmarks, rho, nodal, pts):
     wbar = _weights_matrix(landmarks, cfg, rho, pts)
     out = np.zeros((pts.shape[0], landmarks.dimension))
+    # the points each landmark weighs, grouped by landmark, ascending within a group
+    rows, nodes = np.nonzero(wbar)
+    order = np.argsort(nodes, kind="stable")
+    rows, nodes = rows[order], nodes[order]
+    bounds = np.searchsorted(nodes, np.arange(landmarks.n + 1))
     for nf in nodal:
-        col = wbar[:, nf.center]
-        active = col > 0
-        if active.any():
-            out[active] += col[active, None] * nf.interpolant(pts[active])
+        active = rows[bounds[nf.center]:bounds[nf.center + 1]]
+        if len(active):
+            out[active] += wbar[active, nf.center, None] * nf.interpolant(pts[active])
     return out
 
 

@@ -41,14 +41,15 @@ from scipy.linalg.lapack import dgetrs
 from . import _precision
 from ._precision import _refined_solve
 from .kernels import (RadialKernel, Wendland1D, eval_radial, eval_univariate,
-                      polynomial_tail_degree)
-from .landmarks import LandmarkSet
+                      polynomial_tail_degree, support_radius)
+from .landmarks import LandmarkSet, chunk_rows, squared_distances
 from .lobachevsky import LobachevskySpline, eval_spline
 
 RESIDUAL_LIMIT = 1e-6        # relative to max(1, |t|_inf); the solve failed beyond this
 ESCALATE_THRESHOLD = 1e-11   # float64 residual above this retries in 80-bit precision
 MP_THRESHOLD = 1e-7          # 80-bit residual above this retries in double-double
 ILL_CONDITIONED = 1e16       # warning-flag threshold (double-precision cliff)
+SUPPORT_SLACK = 1e-12        # relative widening of a kernel's support when culling sources
 # the 80-bit rung runs only where np.longdouble carries more digits than float64
 LONGDOUBLE_IS_EXTENDED = np.finfo(np.longdouble).nmant > np.finfo(float).nmant
 
@@ -59,12 +60,6 @@ class SolveError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # assembly
-
-def _pairwise_distances(x, centers):
-    """Euclidean distance matrix, in the dtype of the operands."""
-    diff = x[:, None, :] - centers[None, :, :]
-    return np.sqrt((diff * diff).sum(-1))
-
 
 def monomial_exponents(dimension: int, degree: int) -> list[tuple[int, ...]]:
     """Exponent multi-indices up to the given total degree.
@@ -137,12 +132,24 @@ class _Problem:
             return []
         return monomial_exponents(self.sources.shape[1], self.tail_degree)
 
-    def kernel_rows(self, x):
-        """Kernel matrix between points x (P, m) and the sources, in x's dtype."""
-        src = self.sources.astype(x.dtype)
+    def kernel_rows(self, x, cols=slice(None)):
+        """Kernel matrix between points x (P, m) and the sources[cols], in x's dtype."""
+        src = self.sources[cols].astype(x.dtype)
         if self.tensor:
             return _tensor_matrix(self.kernel, x, src)
-        return eval_radial(self.kernel, _pairwise_distances(x, src))
+        return eval_radial(self.kernel, np.sqrt(squared_distances(x, src)))
+
+    def reaching(self, x):
+        """The sources whose support meets the bounding box of x, as an index for kernel_rows.
+
+        The box is widened by the support radius times 1 + SUPPORT_SLACK, so
+        a source left out has an exactly zero kernel value at every point.
+        """
+        reach = support_radius(self.kernel) * (1.0 + SUPPORT_SLACK)
+        if not np.isfinite(reach):
+            return slice(None)
+        return np.flatnonzero(((self.sources >= x.min(0) - reach)
+                               & (self.sources <= x.max(0) + reach)).all(1))
 
     def build(self, dtype):
         """The (N+U) x (N+U) saddle matrix [[M, Q], [Q^T, 0]] (M alone when U = 0)."""
@@ -288,13 +295,29 @@ class _SolvedTransform(Transformation):
                 problem.kernel, problem.tensor, self._z, problem.tail_degree,
                 problem.exponents, pts, problem.sources)
         else:
-            dtype = np.longdouble if self.precision == "longdouble" else np.dtype(float)
-            x = pts.astype(dtype)
-            out = problem.kernel_rows(x) @ self.coef
-            if problem.tail_degree is not None:
-                out = out + monomial_matrix(x, problem.tail_degree) @ self.poly_coef
-            out = np.asarray(out, dtype=float)
+            out = self._evaluate_chunked(pts)
         return out[0] if single else out
+
+    def _evaluate_chunked(self, pts):
+        """float64 or 80-bit evaluation, in row chunks of CHUNK_BYTES per kernel block.
+
+        With more than one chunk, each uses only the sources whose support
+        reaches its bounding box; a single chunk is one kernel_rows product.
+        """
+        problem = self._problem
+        dtype = np.dtype(np.longdouble if self.precision == "longdouble" else float)
+        x = pts.astype(dtype)
+        out = np.empty(pts.shape)
+        step = chunk_rows(problem.n, dtype.itemsize)
+        chunks = range(0, len(x), step)
+        for start in chunks:
+            xc = x[start:start + step]
+            cols = problem.reaching(xc) if len(chunks) > 1 else slice(None)
+            values = problem.kernel_rows(xc, cols) @ self.coef[cols]
+            if problem.tail_degree is not None:
+                values = values + monomial_matrix(xc, problem.tail_degree) @ self.poly_coef
+            out[start:start + step] = values
+        return out
 
     @property
     def kernel(self):

@@ -13,6 +13,7 @@ import numpy as np
 import landreg
 from landreg.kernels import ThinPlateSpline
 from landreg.landmarks import LandmarkSet
+from landreg.shepard import ShepardConfig, build_shepard_transform
 from landreg.transform import solve_transform
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -61,3 +62,23 @@ def test_traced_solve_and_evaluation_record_spans():
     metrics = tracer.layer_metrics(1)
     assert metrics["transform.rung_double"] == 1
     assert metrics["transform.eval_points"] == 2
+
+
+def test_traced_shepard_weights_detail_resolves():
+    spans = load_spans()
+    xs = np.linspace(0.1, 0.9, 6)
+    src = np.array([(x, y) for y in xs for x in xs])
+    landmarks = LandmarkSet(src, src + 0.01)
+    cfg = ShepardConfig(ThinPlateSpline(), n_l=8, n_w=6)
+    probes = np.random.default_rng(0).uniform(0.0, 1.0, (50, 2))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        build_shepard_transform(landmarks, cfg)(probes)
+    finally:
+        tracer.active = False
+        tracer.restore()
+    details = [span[5] for span in tracer.spans if span[0] == "shepard.weights"]
+    assert details and details[-1][1] == len(probes)
+    assert 0 < tracer.layer_metrics(1)["shepard.active_terms"] <= cfg.n_w

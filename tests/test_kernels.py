@@ -7,6 +7,7 @@ from landreg.kernels import (Gaussian, GeneralizedMultiquadric, KernelError,
                              ThinPlateSpline, Wendland1D, WendlandRadial,
                              eval_radial, eval_univariate,
                              polynomial_tail_degree, support_radius)
+from landreg.lobachevsky import LobachevskySpline
 
 WENDLAND_PAIRS = [(m, h) for m in (1, 2, 3) for h in (0, 1, 2, 3)]
 
@@ -132,6 +133,8 @@ def test_support_radius():
     assert support_radius(Gaussian(1.0)) == np.inf
     assert support_radius(ThinPlateSpline()) == np.inf
     assert support_radius(GeneralizedMultiquadric(1.0, -1)) == np.inf
+    assert support_radius(LobachevskySpline(4, a=0.5)) == 2.0
+    assert support_radius(LobachevskySpline(6, alpha=2.0)) == math.sqrt(18.0) / 2.0
 
 
 def test_negative_distance_rejected():
