@@ -33,8 +33,8 @@ class Gaussian:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise KernelError("Gaussian shape parameter alpha must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise KernelError("Gaussian shape parameter alpha must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ class GeneralizedMultiquadric:
     mu: int
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise KernelError("multiquadric parameter gamma must be positive")
+        if not 0 < self.gamma < np.inf:
+            raise KernelError("multiquadric parameter gamma must be positive and finite")
         if not isinstance(self.mu, (int, np.integer)) or self.mu == 0:
             raise KernelError("multiquadric exponent mu must be a nonzero integer")
         if self.mu > 0 and self.mu % 2 == 0:
@@ -84,8 +84,8 @@ class WendlandRadial:
             raise KernelError("Wendland dimension m must be 1, 2 or 3")
         if self.h not in (0, 1, 2, 3):
             raise KernelError("Wendland smoothness index h must be in 0..3")
-        if not self.c > 0:
-            raise KernelError("Wendland scale c must be positive")
+        if not 0 < self.c < np.inf:
+            raise KernelError("Wendland scale c must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,8 @@ class Wendland1D:
     def __post_init__(self):
         if self.h not in (0, 1, 2, 3):
             raise KernelError("Wendland smoothness index h must be in 0..3")
-        if not self.c > 0:
-            raise KernelError("Wendland scale c must be positive")
+        if not 0 < self.c < np.inf:
+            raise KernelError("Wendland scale c must be positive and finite")
 
 
 RadialKernel = Union[Gaussian, ThinPlateSpline, GeneralizedMultiquadric, WendlandRadial]
@@ -125,9 +125,17 @@ def _wendland_poly(group: int, h: int, u):
 
 
 def _wendland_value(group: int, h: int, c: float, r):
+    """The Wendland function of u = c r: the polynomial on [0, 1), exact zeros beyond.
+
+    u >= 1 is clamped to 1, where every polynomial is exactly +0, because a
+    negative base 1 - u sends pow down its slow path (about 150 ns an entry
+    in float64).  An array wholly inside the support skips the clamp's copy.
+    """
     u = c * r
-    zero = np.zeros((), dtype=u.dtype) if isinstance(u, np.ndarray) else 0.0
-    return np.where(u < 1.0, _wendland_poly(group, h, u), zero)
+    inside = u < 1.0
+    if not inside.all():
+        u = np.where(inside, u, 1.0)
+    return _wendland_poly(group, h, u)
 
 
 def _radial(kernel: RadialKernel, r):

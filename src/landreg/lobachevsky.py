@@ -140,8 +140,8 @@ class LobachevskySpline:
         if (self.a is None) == (self.alpha is None):
             raise ValueError("exactly one of a and alpha must be given")
         shape = self.a if self.a is not None else self.alpha
-        if not shape > 0:
-            raise ValueError("shape parameter must be positive")
+        if not 0 < shape < math.inf:
+            raise ValueError("shape parameter must be positive and finite")
 
     def support(self) -> tuple[float, float]:
         """Closed support interval of the spline in its chosen parameterization."""

@@ -105,11 +105,26 @@ def _univariate_factor(kernel, delta):
     raise ValueError(f"kernel {kernel!r} is not a univariate tensor factor")
 
 
+def _axis_factor(kernel, x, centers):
+    """psi(x_i - c_j) for one coordinate, (P, N), in x's dtype.
+
+    When at most half the P values are distinct (a grid axis, or the
+    coordinates of landmarks on a lattice), psi is evaluated once per
+    distinct value and the rows are gathered back; psi is elementwise, so
+    the bits are those of the direct evaluation.
+    """
+    values = np.unique(x)
+    if 2 * len(values) > len(x):
+        return _univariate_factor(kernel, x[:, None] - centers[None, :])
+    rows = _univariate_factor(kernel, values[:, None] - centers[None, :])
+    return rows[np.searchsorted(values, x)]
+
+
 def _tensor_matrix(kernel, x, centers):
     """Product kernel matrix Prod_d psi(x_d - c_d), dtype-preserving."""
-    out = _univariate_factor(kernel, x[:, None, 0] - centers[None, :, 0])
+    out = _axis_factor(kernel, x[:, 0], centers[:, 0])
     for d in range(1, x.shape[1]):
-        out = out * _univariate_factor(kernel, x[:, None, d] - centers[None, :, d])
+        out = out * _axis_factor(kernel, x[:, d], centers[:, d])
     return out
 
 

@@ -136,3 +136,27 @@ def test_render_rejects_mismatched_grids(tmp_path, capsys):
     code = run("render", "--grid", str(grid), "--out", str(tmp_path / "o.svg"))
     capsys.readouterr()
     assert code == 1
+
+
+def test_non_finite_kernel_parameters_exit_1(tmp_path, capsys):
+    lm = tmp_path / "lm.csv"
+    assert run("gen-case", "--case", "square-shift-32", "--out", str(lm)) == 0
+    configs = [
+        "kernel = gaussian\nalpha = inf\n",
+        "kernel = wendland2d\nh = 1\nc = inf\n",
+        "kernel = wendland1d\nh = 1\nc = inf\n",
+        "kernel = gmq\ngamma = inf\nmu = -1\n",
+        "kernel = lobachevsky\nn = 4\nalpha = inf\n",
+        "kernel = lobachevsky\nn = 4\na = inf\n",
+        "method = shepard\nnodal_kernel = gaussian\nalpha = inf\nn_l = 5\nn_w = 5\n",
+    ]
+    for text in configs:
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text(text)
+        grid = tmp_path / "grid.csv"
+        code = run("solve", "--landmarks", str(lm), "--config", str(cfg),
+                   "--grid-out", str(grid))
+        err = capsys.readouterr().err
+        assert code == 1, text
+        assert "positive and finite" in err and "Traceback" not in err
+        assert not grid.exists()

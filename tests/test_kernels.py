@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from landreg._dd import DDArray
 from landreg.kernels import (Gaussian, GeneralizedMultiquadric, KernelError,
                              ThinPlateSpline, Wendland1D, WendlandRadial,
-                             eval_radial, eval_univariate,
-                             polynomial_tail_degree, support_radius)
+                             _wendland_poly, _wendland_value, eval_radial,
+                             eval_univariate, polynomial_tail_degree,
+                             support_radius)
 from landreg.lobachevsky import LobachevskySpline
 
 WENDLAND_PAIRS = [(m, h) for m in (1, 2, 3) for h in (0, 1, 2, 3)]
@@ -163,6 +165,50 @@ def test_invalid_configurations_rejected():
         GeneralizedMultiquadric(1.0, 0)
     with pytest.raises(KernelError):
         GeneralizedMultiquadric(1.0, 2)  # even positive exponent unsupported
+
+
+@pytest.mark.parametrize("make", [
+    Gaussian,
+    lambda v: WendlandRadial(2, 1, v),
+    lambda v: Wendland1D(1, v),
+    lambda v: GeneralizedMultiquadric(v, -1),
+    lambda v: LobachevskySpline(4, alpha=v),
+    lambda v: LobachevskySpline(4, a=v),
+])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_shape_parameters_rejected(make, value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        make(value)
+
+
+def _unclamped_wendland(group, h, u):
+    """The Wendland value with the polynomial evaluated on every u."""
+    zero = np.zeros((), dtype=u.dtype) if isinstance(u, np.ndarray) else 0.0
+    return np.where(u < 1.0, _wendland_poly(group, h, u), zero)
+
+
+def _same_bits(got, want):
+    return (np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@pytest.mark.parametrize("group, h", [(g, h) for g in (1, 2) for h in (0, 1, 2, 3)])
+def test_wendland_support_clamp_keeps_the_bits(group, h):
+    rng = np.random.default_rng(10 * group + h)
+    u = np.concatenate([np.linspace(0.0, 30.0, 3001)[:-1], rng.uniform(0.0, 30.0, 1000),
+                        [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]])
+    special = np.array([np.inf, np.nan])
+    for values in (u, u[u < 1.0], np.concatenate([u, special])):    # clamped, wholly inside
+        for array in (values, values.astype(np.longdouble)):
+            got = _wendland_value(group, h, 1.0, array)
+            assert got.dtype == array.dtype
+            assert _same_bits(got, _unclamped_wendland(group, h, array))
+    for values in (u, u[u < 1.0]):
+        lo = np.where(values > 0, values * 2.0 ** -60, 0.0) * rng.choice([-1.0, 1.0], len(values))
+        dd = DDArray(values, lo)
+        got, want = _wendland_value(group, h, 1.0, dd), _unclamped_wendland(group, h, dd)
+        assert isinstance(got, DDArray)
+        assert _same_bits(got.hi, want.hi) and _same_bits(got.lo, want.lo)
 
 
 def test_scalar_and_array_shapes():
