@@ -198,7 +198,7 @@ def test_wendland_support_clamp_keeps_the_bits(group, h):
     u = np.concatenate([np.linspace(0.0, 30.0, 3001)[:-1], rng.uniform(0.0, 30.0, 1000),
                         [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]])
     special = np.array([np.inf, np.nan])
-    for values in (u, u[u < 1.0], np.concatenate([u, special])):    # clamped, wholly inside
+    for values in (u, u[u < 1.0], np.concatenate([u, special])):    # mixed, inside, inf and NaN
         for array in (values, values.astype(np.longdouble)):
             got = _wendland_value(group, h, 1.0, array)
             assert got.dtype == array.dtype

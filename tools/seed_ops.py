@@ -75,16 +75,18 @@ def _same(a, b) -> bool:
 
 
 def compare(path_a: str, path_b: str) -> int:
+    differ = 0
     with np.load(path_a) as a, np.load(path_b) as b:
-        differ = [key for key in sorted(set(a.files) | set(b.files))
-                  if key not in a.files or key not in b.files or not _same(a[key], b[key])]
-        for key in differ:
+        keys = sorted(set(a.files) | set(b.files))
+        for key in keys:
             if key not in a.files or key not in b.files:
                 print(f"{key}: only in {path_a if key in a.files else path_b}")
-            else:
+            elif not _same(a[key], b[key]):
                 print(f"{key}: differs")
-        total = len(set(a.files) | set(b.files))
-    print(f"{len(differ)} of {total} fields differ")
+            else:
+                continue
+            differ += 1
+    print(f"{differ} of {len(keys)} fields differ")
     return 1 if differ else 0
 
 
