@@ -26,77 +26,126 @@ from ._dd import DDArray
 from .kernels import Wendland1D, _radial, _univariate
 from .lobachevsky import LobachevskySpline, _spline
 
-# Fixed-precision refinement never lowered the residual of a double-double
-# solve on the square cases (each step grew it 2-1000x: cond * 2^-106 > 1
-# there), so the rung keeps its first solve and only measures its residual.
-DD_REFINE_STEPS = 0
 EVAL_BLOCK = 8192   # kernel entries per evaluation block: temporaries stay in cache
 _ONE = DDArray(1.0)
 
 
 # ---------------------------------------------------------------------------
-# refinement (shared by every rung)
+# refinement (shared by the float64 and 80-bit rungs)
 
-def _refined_solve(matrix, solve_once, rhs, n_interp, max_steps):
-    """Solve with monitored iterative refinement; keep the best iterate."""
+def _refined_solve(product, solve_once, rhs, n_interp, max_steps):
+    """Solve a stack of S systems with monitored iterative refinement.
+
+    rhs is (S, n) or (S, n, m).  solve_once maps an (S, n, m) stack of
+    right-hand sides to its solutions, and product maps solutions to their
+    products with the system matrices.  Each system keeps its own best
+    iterate and residual, the max |r| over its first n_interp rows.  A
+    system whose residual goes non-finite is updated no further: its best
+    iterate and residual stand, and refinement stops once no system is left
+    to update.  Returns (solutions in rhs's shape, list of S float
+    residuals).  The per-system bookkeeping is on Python lists: for the
+    many stacks of one, numpy calls on one-element arrays would cost more.
+    """
+    shape = rhs.shape
+    rhs = rhs.reshape(len(rhs), shape[1], -1)     # one column per right-hand side
     z = solve_once(rhs)
-    best_z, best_res = z, np.inf
+    best_z, best_res = z, [np.inf] * len(z)
+    live = [True] * len(z)
     for step in range(max_steps + 1):
-        r = rhs - matrix @ z
-        finite = np.isfinite(r).all()
-        res = float(np.abs(r[:n_interp]).max()) if finite else np.inf
-        if res < best_res:
+        r = rhs - product(z)
+        finite = np.isfinite(r)
+        if not finite.all():
+            live = [a and b for a, b in zip(live, finite.all((1, 2)).tolist())]
+        res = np.abs(r[:, :n_interp]).reshape(len(r), -1).max(1).astype(float).tolist()
+        better = [i for i, (new, old, on) in enumerate(zip(res, best_res, live)) if on and new < old]
+        if len(better) == len(z):
             best_z, best_res = z, res
-        if not finite or step == max_steps:
+        elif better:
+            best_z[better] = z[better]      # best_z is z or an earlier iterate
+            for i in better:
+                best_res[i] = res[i]
+        if step == max_steps or not any(live):
             break
-        z = z + solve_once(r)
-    return best_z, best_res
+        if all(live):
+            z = z + solve_once(r)
+        else:
+            keep = np.array(live)[:, None, None]
+            z = np.where(keep, z + solve_once(np.where(keep, r, 0.0)), z)
+    return best_z.reshape(shape), best_res
 
 
 # ---------------------------------------------------------------------------
 # 80-bit extended precision (numpy longdouble)
 
 def lu_extended(a):
-    """Partial-pivot LU in extended precision.  Returns (LU, row order).
+    """Partial-pivot LU in extended precision of a stack of systems.
 
-    The systems are small (Shepard's nodal solves have 25 rows), so numpy
-    call overhead outweighs arithmetic: each step uses the cheapest calls,
-    a row swap by copies and a broadcast rank-one update.
+    a is (S, n, n), or (n, n) for a stack of one.  Returns (LU, row order),
+    (S, n, n) and (S, n), or unstacked for a 2-D input.  Each system pivots
+    on its own column.  A system whose pivot is exactly zero skips that
+    step's elimination, and the zero stays on its diagonal, where
+    lu_solve_extended finds it; the other systems are not affected.
+
+    Shepard's nodal systems have 25 rows, so numpy call overhead outweighs
+    arithmetic: the loop runs once per row for the whole stack, not once
+    per row of every system.  Each step acts elementwise within a system
+    (row swap, division by the pivot, rank-one update), so every system's
+    factors carry the bits of its own unstacked factorization.
     """
-    lu = a.astype(np.longdouble, copy=True)
-    n = lu.shape[0]
-    order = np.arange(n)
+    if a.ndim == 2:
+        lu, order = lu_extended(a[None])
+        return lu[0], order[0]
+    s, n, _ = a.shape
+    # the row order rides along as an extra column, so each row swap carries it
+    work = np.empty((s, n, n + 1), dtype=np.longdouble)
+    work[:, :, :n] = a
+    work[:, :, n] = np.arange(n)
+    lu = work[:, :, :n]
+    rows = work.reshape(s * n, n + 1)
+    row_k = np.arange(0, s * n, n)           # each system's row k in rows
     for k in range(n - 1):
-        p = k + int(np.abs(lu[k:, k]).argmax())
-        if p != k:
-            row = lu[k].copy()
-            lu[k] = lu[p]
-            lu[p] = row
-            order[k], order[p] = order[p], order[k]
-        pivot = lu[k, k]
-        if pivot == 0:
-            continue
-        col = lu[k + 1:, k]
-        col /= pivot
-        lu[k + 1:, k + 1:] -= col[:, None] * lu[k, k + 1:]
-    return lu, order
+        p = np.abs(lu[:, k:, k]).argmax(axis=1)
+        if np.count_nonzero(p):
+            pair = np.array((row_k, row_k + p))
+            rows[pair] = rows[pair[::-1]]
+        row_k += 1
+        pivot = lu[:, k, k]
+        live = slice(None) if np.count_nonzero(pivot) == s else np.flatnonzero(pivot)
+        lu[live, k + 1:, k] /= pivot[live, None]
+        lu[live, k + 1:, k + 1:] -= lu[live, k + 1:, k, None] * lu[live, k, None, k + 1:]
+    return lu, work[:, :, n].astype(np.intp)
 
 
 def lu_solve_extended(lu, order, rhs):
-    """Solve with the factors of lu_extended by row-wise substitution."""
-    x = rhs.astype(np.longdouble)[order]
-    n = lu.shape[0]
-    rows = list(x.reshape(n, -1))     # views: updating a row updates x
+    """Solve with the factors of lu_extended by row-wise substitution.
+
+    lu and order are stacked as lu_extended returns them, and rhs is (S, n)
+    or (S, n, m); a 2-D lu is a stack of one, with rhs (n,) or (n, m).
+    Returns the longdouble solutions in rhs's shape.  A system with a zero
+    on its diagonal gets NaN in that row and, through the substitution, in
+    every row above it.  The dot products are matmuls over the stack, which
+    sum in the same order as one system's np.dot, so each solution carries
+    the bits of its own unstacked solve.
+    """
+    if lu.ndim == 2:
+        return lu_solve_extended(lu[None], order[None], rhs[None])[0]
+    s, n, _ = lu.shape
+    x = rhs.astype(np.longdouble)[np.arange(s)[:, None], order]
+    x3 = x.reshape(s, n, -1)                              # a view: updating x3 updates x
+    rows = list(x3[:, :, None].transpose(1, 0, 2, 3))     # row k of every system, (S, 1, m)
+    lu_rows = list(lu[:, :, None].transpose(1, 0, 2, 3))   # row k of every factor, (S, 1, n)
     for k in range(1, n):
-        rows[k] -= np.dot(lu[k, :k], x[:k])
-    diagonal = lu.diagonal()
+        rows[k] -= lu_rows[k][..., :k] @ x3[:, :k]
+    diagonal = lu.diagonal(axis1=1, axis2=2)
+    zero = diagonal == 0
+    divisors = list(np.where(zero, 1, diagonal).T[:, :, None, None])
+    singular = zero.any(axis=0).tolist()
     for k in range(n - 1, -1, -1):
         row = rows[k]
-        row -= np.dot(lu[k, k + 1:], x[k + 1:])
-        if diagonal[k] != 0:
-            row /= diagonal[k]
-        else:
-            row[...] = np.nan
+        row -= lu_rows[k][..., k + 1:] @ x3[:, k + 1:]
+        row /= divisors[k]
+        if singular[k]:
+            row[zero[:, k]] = np.nan
     return x
 
 
@@ -184,8 +233,12 @@ def mp_solve(kernel, tensor, sources, tail_degree, exponents, rhs):
     lu, order = lu_dd(system)
     if not np.all(np.diagonal(lu.hi)):
         return None, np.inf
-    return _refined_solve(system, lambda b: lu_solve_dd(lu, order, b),
-                          rhs, n, DD_REFINE_STEPS)
+    # Fixed-precision refinement never lowered the residual of a double-double
+    # solve on the square cases (each step grew it 2-1000x: cond * 2^-106 > 1
+    # there), so the rung keeps its first solve and only measures its residual.
+    z = lu_solve_dd(lu, order, rhs)
+    r = rhs - system @ z
+    return z, (float(np.abs(r[:n]).max()) if np.isfinite(r).all() else np.inf)
 
 
 def mp_evaluate(kernel, tensor, coef, tail_degree, exponents, points, centers):

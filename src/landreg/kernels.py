@@ -26,6 +26,14 @@ class KernelError(ValueError):
     """Invalid kernel configuration (unsupported family parameters)."""
 
 
+def _positive_finite_square(value) -> bool:
+    """0 < value < inf, with a finite square: the formulas use value * value."""
+    try:
+        return 0 < value < np.inf and float(value) * float(value) < np.inf
+    except OverflowError:        # an integer beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class Gaussian:
     """exp(-alpha^2 r^2), strictly positive definite, globally supported."""
@@ -33,8 +41,9 @@ class Gaussian:
     alpha: float
 
     def __post_init__(self):
-        if not 0 < self.alpha < np.inf:
-            raise KernelError("Gaussian shape parameter alpha must be positive and finite")
+        if not _positive_finite_square(self.alpha):
+            raise KernelError("Gaussian shape parameter alpha must be positive and finite, "
+                              "and so must its square")
 
 
 @dataclass(frozen=True)
@@ -56,8 +65,9 @@ class GeneralizedMultiquadric:
     mu: int
 
     def __post_init__(self):
-        if not 0 < self.gamma < np.inf:
-            raise KernelError("multiquadric parameter gamma must be positive and finite")
+        if not _positive_finite_square(self.gamma):
+            raise KernelError("multiquadric parameter gamma must be positive and finite, "
+                              "and so must its square")
         if not isinstance(self.mu, (int, np.integer)) or self.mu == 0:
             raise KernelError("multiquadric exponent mu must be a nonzero integer")
         if self.mu > 0 and self.mu % 2 == 0:

@@ -88,17 +88,17 @@ class NodalFunction:
 
 
 def build_nodal_interpolants(landmarks: LandmarkSet, cfg: ShepardConfig) -> list[NodalFunction]:
-    """Fit one local interpolant per landmark on its N_L nearest sources."""
+    """Fit one local interpolant per landmark on its N_L nearest sources.
+
+    All N local systems are solved by one call, as one stack per precision rung.
+    """
     _validate(cfg, landmarks)
     neighbors, _ = k_nearest(landmarks.sources, landmarks.sources, cfg.n_l)
-    nodal = []
-    for j, idx in enumerate(neighbors):
-        try:
-            local = solve_transform(cfg.nodal_kernel, landmarks.subset(idx))
-        except SolveError as exc:
-            raise NodalSolveError(f"nodal interpolant {j}: {exc}") from exc
-        nodal.append(NodalFunction(j, idx, local))
-    return nodal
+    try:
+        local = solve_transform(cfg.nodal_kernel, [landmarks.subset(idx) for idx in neighbors])
+    except SolveError as exc:
+        raise NodalSolveError(f"nodal interpolant {exc.index}: {exc}") from exc
+    return [NodalFunction(j, idx, t) for j, (idx, t) in enumerate(zip(neighbors, local))]
 
 
 def _weights_matrix(landmarks: LandmarkSet, cfg: ShepardConfig, rho, pts) -> np.ndarray:

@@ -55,7 +55,14 @@ LONGDOUBLE_IS_EXTENDED = np.finfo(np.longdouble).nmant > np.finfo(float).nmant
 
 
 class SolveError(RuntimeError):
-    """The interpolation system could not be solved to tolerance."""
+    """The interpolation system could not be solved to tolerance.
+
+    ``index`` is the position of the failing system in a stacked solve.
+    """
+
+    def __init__(self, message, index=0):
+        super().__init__(message)
+        self.index = index
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +204,18 @@ def _lu_solve(lu_piv, b):
     return x
 
 
+def _lu_solve_stack(factors, b):
+    """Solve the stack b (S, n, m), system i with the float64 factors[i].
+
+    Each solution is Fortran-ordered, as getrs returns it for one system,
+    so BLAS products with it carry the bits of a single system's solve.
+    """
+    x = np.empty((len(b), b.shape[2], b.shape[1])).transpose(0, 2, 1)
+    for lu_piv, x_i, b_i in zip(factors, x, b):
+        x_i[...] = _lu_solve(lu_piv, b_i)
+    return x
+
+
 def _condition_from_lu(matrix, lu_piv):
     if lu_piv is None:
         return np.inf
@@ -206,54 +225,78 @@ def _condition_from_lu(matrix, lu_piv):
     return float(np.abs(matrix).sum(0).max() * np.abs(inv).sum(0).max())
 
 
-def _solve_dense(problem: _Problem, rhs, context: str):
-    """Solve a system on the float64 -> 80-bit -> double-double precision ladder.
-
-    Returns (solution, interpolation residual, condition estimate,
-    precision tag).  Raises SolveError when even the top rung leaves the
-    interpolation conditions violated (numerically singular system).
-    """
-    n_interp = problem.n
-    a = problem.build(np.dtype(float))
-    scale = max(1.0, float(np.abs(rhs[:n_interp]).max()))
-    lu_piv = None
+def _factor64(a):
+    """float64 LU factors of a, or None where LAPACK fails or leaves a zero pivot."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
             lu_piv = lu_factor(a, check_finite=False)
-            if np.abs(np.diag(lu_piv[0])).min() == 0.0:
-                lu_piv = None
         except ValueError:
-            lu_piv = None
-    cond = _condition_from_lu(a, lu_piv)
-    z = None
-    res = np.inf
-    if lu_piv is not None:
-        z, res = _refined_solve(a, lambda b: _lu_solve(lu_piv, b), rhs, n_interp, 2)
-        if res <= ESCALATE_THRESHOLD * scale:
-            return z, res, cond, "double"
-    z_ext, res_ext = None, np.inf
-    if LONGDOUBLE_IS_EXTENDED:
-        a_ext = problem.build(np.longdouble)
+            return None
+        return None if np.abs(np.diag(lu_piv[0])).min() == 0.0 else lu_piv
+
+
+def _solve_stack(problems, rhs, context: str):
+    """Solve equally sized systems on the float64 -> 80-bit -> double-double ladder.
+
+    rhs is (S, N+U, m), one right-hand side per problem.  float64 factors
+    system by system and refines the stack; the systems it rejects go on
+    as one 80-bit stack, and those the 80-bit rung rejects go one by one to
+    double-double.  Returns one (solution, interpolation residual,
+    condition estimate, precision tag) per system.  Raises SolveError, with
+    ``index`` naming the first such system, when even the top rung leaves
+    a system's interpolation conditions violated (numerically singular).
+    """
+    n_interp = problems[0].n
+    scale = np.maximum(1.0, np.abs(rhs[:, :n_interp]).max(axis=(1, 2)))
+    matrices = [problem.build(np.dtype(float)) for problem in problems]
+    factors = [_factor64(a) for a in matrices]
+    conds = [_condition_from_lu(a, lu_piv) for a, lu_piv in zip(matrices, factors)]
+    lower = [(None, np.inf)] * len(problems)      # float64 (solution, residual)
+    solved = [None] * len(problems)
+    ok = [i for i, lu_piv in enumerate(factors) if lu_piv is not None]
+    if ok:
+        ok_factors = [factors[i] for i in ok]
+        z64, res64 = _refined_solve(np.stack([matrices[i] for i in ok]).__matmul__,
+                                    lambda b: _lu_solve_stack(ok_factors, b),
+                                    rhs[ok], n_interp, 2)
+        for i, z, res in zip(ok, z64, res64):
+            lower[i] = (z, res)
+            if res <= ESCALATE_THRESHOLD * scale[i]:
+                solved[i] = (z, res, conds[i], "double")
+    rest = [i for i, done in enumerate(solved) if done is None]
+    extended = [(None, np.inf)] * len(problems)   # 80-bit (solution, residual)
+    if rest and LONGDOUBLE_IS_EXTENDED:
+        a_ext = np.stack([problems[i].build(np.longdouble) for i in rest])
         lu_ext, order = _precision.lu_extended(a_ext)
         z_ext, res_ext = _refined_solve(
-            a_ext, lambda b: _precision.lu_solve_extended(lu_ext, order, b),
-            rhs, n_interp, 3)
-        if res_ext <= min(MP_THRESHOLD * scale, res):
-            return z_ext, res_ext, cond, "longdouble"
-    coef_mp, res_mp = _precision.mp_solve(
-        problem.kernel, problem.tensor, problem.sources, problem.tail_degree,
-        problem.exponents, rhs)
-    candidates = [(res_mp, coef_mp, "mp"), (res_ext, z_ext, "longdouble"), (res, z, "double")]
-    best_res, best_z, precision = min(candidates, key=lambda item: item[0])
-    if best_z is None or best_res > RESIDUAL_LIMIT * scale:
-        raise SolveError(
-            f"{context}: system is numerically singular or rank deficient "
-            f"(best residual {best_res:.2e}, condition estimate {cond:.2e}); "
-            "check for degenerate source configurations such as collinear "
-            "landmarks with a polynomial tail"
-        )
-    return best_z, best_res, cond, precision
+            a_ext.__matmul__, lambda b: _precision.lu_solve_extended(lu_ext, order, b),
+            rhs[rest], n_interp, 3)
+        for i, z, res in zip(rest, z_ext, res_ext):
+            extended[i] = (z, res)
+            if res <= min(MP_THRESHOLD * scale[i], lower[i][1]):
+                solved[i] = (z, res, conds[i], "longdouble")
+    for i in [i for i in rest if solved[i] is None]:
+        problem = problems[i]
+        (z, res), (z_ext, res_ext) = lower[i], extended[i]
+        coef_mp, res_mp = _precision.mp_solve(
+            problem.kernel, problem.tensor, problem.sources, problem.tail_degree,
+            problem.exponents, rhs[i])
+        candidates = [(res_mp, coef_mp, "mp"), (res_ext, z_ext, "longdouble"), (res, z, "double")]
+        best_res, best_z, precision = min(candidates, key=lambda item: item[0])
+        if best_z is None or best_res > RESIDUAL_LIMIT * scale[i]:
+            raise SolveError(
+                f"{context}: system is numerically singular or rank deficient "
+                f"(best residual {best_res:.2e}, condition estimate {conds[i]:.2e}); "
+                "check for degenerate source configurations such as collinear "
+                "landmarks with a polynomial tail", index=i)
+        solved[i] = (best_z, best_res, conds[i], precision)
+    return solved
+
+
+def _solve_dense(problem: _Problem, rhs, context: str):
+    """Solve one system on the precision ladder: the stack of one of _solve_stack."""
+    return _solve_stack([problem], rhs[None], context)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -351,19 +394,34 @@ class TensorProductTransform(_SolvedTransform):
     kind = "tensor-product"
 
 
-def solve_transform(kernel: RadialKernel, landmarks: LandmarkSet) -> GlobalRadialTransform:
-    """Solve the landmark interpolation system for a radial kernel."""
+def solve_transform(kernel: RadialKernel, landmarks):
+    """Solve the landmark interpolation system for a radial kernel.
+
+    ``landmarks`` is one LandmarkSet, or a sequence of equally sized ones
+    (the neighborhoods of Shepard's nodal interpolants).  The systems of a
+    sequence are solved as one stack per precision rung, a list of
+    transforms comes back, and a SolveError's ``index`` names the set that
+    failed.
+    """
+    single = isinstance(landmarks, LandmarkSet)
+    sets = [landmarks] if single else list(landmarks)
     degree = polynomial_tail_degree(kernel)
-    n, dim = landmarks.n, landmarks.dimension
+    n, dim = sets[0].n, sets[0].dimension
+    if any(lm.n != n or lm.dimension != dim for lm in sets):
+        raise ValueError("stacked landmark sets must share N and dimension")
     u = tail_dimension(dim, degree)
     if u and u >= n:
         raise ValueError(
             f"polynomial tail needs more landmarks: U = {u} must be < N = {n}"
         )
-    problem = _Problem(kernel, False, landmarks.sources, degree)
-    rhs = np.vstack([landmarks.targets, np.zeros((u, dim))])
-    z, res, cond, precision = _solve_dense(problem, rhs, type(kernel).__name__)
-    return GlobalRadialTransform(problem, landmarks, z, res, cond, precision)
+    problems = [_Problem(kernel, False, lm.sources, degree) for lm in sets]
+    rhs = np.array([np.vstack([lm.targets, np.zeros((u, dim))]) for lm in sets])
+    context = type(kernel).__name__
+    if single:
+        return GlobalRadialTransform(problems[0], landmarks,
+                                     *_solve_dense(problems[0], rhs[0], context))
+    return [GlobalRadialTransform(problem, lm, *result) for problem, lm, result
+            in zip(problems, sets, _solve_stack(problems, rhs, context))]
 
 
 def build_tensor_transform(kernel, landmarks: LandmarkSet) -> TensorProductTransform:

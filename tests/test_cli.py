@@ -138,6 +138,21 @@ def test_render_rejects_mismatched_grids(tmp_path, capsys):
     assert code == 1
 
 
+def test_shape_parameter_with_overflowing_square_exits_1(tmp_path, capsys):
+    lm = tmp_path / "lm.csv"
+    assert run("gen-case", "--case", "square-shift-32", "--out", str(lm)) == 0
+    for text in ("kernel = gaussian\nalpha = 1e200\n", "kernel = gmq\ngamma = 1e200\nmu = -1\n"):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text(text)
+        grid = tmp_path / "grid.csv"
+        code = run("solve", "--landmarks", str(lm), "--config", str(cfg),
+                   "--grid-out", str(grid))
+        err = capsys.readouterr().err
+        assert code == 1, text
+        assert "positive and finite" in err and "Traceback" not in err
+        assert not grid.exists()
+
+
 def test_non_finite_kernel_parameters_exit_1(tmp_path, capsys):
     lm = tmp_path / "lm.csv"
     assert run("gen-case", "--case", "square-shift-32", "--out", str(lm)) == 0

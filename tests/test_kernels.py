@@ -181,6 +181,13 @@ def test_non_finite_shape_parameters_rejected(make, value):
         make(value)
 
 
+@pytest.mark.parametrize("make", [Gaussian, lambda v: GeneralizedMultiquadric(v, -1)])
+def test_shape_parameters_whose_square_overflows_rejected(make):
+    with pytest.raises(KernelError, match="positive and finite"):
+        make(1e200)
+    make(1e150)                             # its square, 1e300, is finite
+
+
 def _unclamped_wendland(group, h, u):
     """The Wendland value with the polynomial evaluated on every u."""
     zero = np.zeros((), dtype=u.dtype) if isinstance(u, np.ndarray) else 0.0

@@ -7,6 +7,8 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import landreg
 from landreg import _precision, transform
@@ -107,3 +109,211 @@ def test_extended_lu_marks_a_zero_pivot():
     lu, order = _precision.lu_extended(a)
     x = _precision.lu_solve_extended(lu, order, np.array([1.0, 1.0]))
     assert np.isnan(x[-1])
+
+
+def test_shepard_ladder_skips_80bit_where_longdouble_is_double(monkeypatch):
+    """The stacked nodal solves honour LONGDOUBLE_IS_EXTENDED as single solves do.
+
+    shep-g at alpha = 0.2 on circle-contract solves 4 of its 60 nodal
+    systems at 80 bits; without that rung they go to double-double.
+    """
+    def no_extended(*args):
+        raise AssertionError("80-bit rung ran")
+
+    monkeypatch.setattr(transform, "LONGDOUBLE_IS_EXTENDED", False)
+    monkeypatch.setattr(_precision, "lu_extended", no_extended)
+    landmarks, _, _ = gen_case(CaseSpec("circle-contract"))
+    shep = build_method("shep-g", landmarks, "circle-contract", 0.2)
+    rungs = [nf.interpolant.precision for nf in shep.nodal]
+    assert "longdouble" not in rungs and rungs.count("mp") >= 1
+    assert shep.residual <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the stacked 80-bit LU and refinement against the per-system row loops
+
+def row_loop_lu(a):
+    """Partial-pivot LU of one system, one row at a time: the stacked LU's oracle."""
+    lu = a.astype(np.longdouble, copy=True)
+    n = lu.shape[0]
+    order = np.arange(n)
+    for k in range(n - 1):
+        p = k + int(np.abs(lu[k:, k]).argmax())
+        if p != k:
+            row = lu[k].copy()
+            lu[k] = lu[p]
+            lu[p] = row
+            order[k], order[p] = order[p], order[k]
+        pivot = lu[k, k]
+        if pivot == 0:
+            continue
+        col = lu[k + 1:, k]
+        col /= pivot
+        lu[k + 1:, k + 1:] -= col[:, None] * lu[k, k + 1:]
+    return lu, order
+
+
+def row_loop_solve(lu, order, rhs):
+    """Row-wise substitution with the factors of row_loop_lu, for one system."""
+    x = rhs.astype(np.longdouble)[order]
+    n = lu.shape[0]
+    rows = list(x.reshape(n, -1))
+    for k in range(1, n):
+        rows[k] -= np.dot(lu[k, :k], x[:k])
+    diagonal = lu.diagonal()
+    for k in range(n - 1, -1, -1):
+        row = rows[k]
+        row -= np.dot(lu[k, k + 1:], x[k + 1:])
+        if diagonal[k] != 0:
+            row /= diagonal[k]
+        else:
+            row[...] = np.nan
+    return x
+
+
+def row_loop_refine(matrix, solve_once, rhs, n_interp, max_steps):
+    """Monitored refinement of one system, keeping its best iterate."""
+    z = solve_once(rhs)
+    best_z, best_res = z, np.inf
+    for step in range(max_steps + 1):
+        r = rhs - matrix @ z
+        finite = np.isfinite(r).all()
+        res = float(np.abs(r[:n_interp]).max()) if finite else np.inf
+        if res < best_res:
+            best_z, best_res = z, res
+        if not finite or step == max_steps:
+            break
+        z = z + solve_once(r)
+    return best_z, best_res
+
+
+def value_bytes(x):
+    """The bytes of x's values; an x87 extended value drops its 6 padding bytes."""
+    x = np.ascontiguousarray(x)
+    if x.dtype == np.longdouble and np.finfo(x.dtype).nmant == 63 and x.dtype.itemsize > 10:
+        return x.reshape(-1).view(np.uint8).reshape(-1, x.dtype.itemsize)[:, :10].tobytes()
+    return x.tobytes()
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert value_bytes(got) == value_bytes(want)
+
+
+def random_stack(seed, size, n):
+    """A stack of random systems, each with row exchanges forced at step 0."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((size, n, n))
+    if n > 1:
+        a[:, 0] *= 1e-3
+    return a
+
+
+def check_against_row_loops(a, rng):
+    lu, order = _precision.lu_extended(a)
+    assert lu.shape == a.shape and order.shape == a.shape[:2] and lu.dtype == np.longdouble
+    oracle = [row_loop_lu(member) for member in a]
+    for i, (lu_i, order_i) in enumerate(oracle):
+        assert_same_bits(lu[i], lu_i)
+        assert np.array_equal(order[i], order_i)
+    n = a.shape[1]
+    for rhs in (rng.standard_normal((len(a), n)), rng.standard_normal((len(a), n, 3))):
+        x = _precision.lu_solve_extended(lu, order, rhs)
+        assert x.shape == rhs.shape
+        for i, (lu_i, order_i) in enumerate(oracle):
+            assert_same_bits(x[i], row_loop_solve(lu_i, order_i, rhs[i]))
+    return lu, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 12))
+def test_stacked_lu_matches_row_loops(seed, size, n):
+    check_against_row_loops(random_stack(seed, size, n), np.random.default_rng(seed))
+
+
+def test_stacked_lu_pivots_each_system_on_its_own_rows():
+    a = random_stack(3, 4, 9)
+    a[2] = a[2][::-1]
+    lu, order = check_against_row_loops(a, np.random.default_rng(3))
+    assert len({tuple(o) for o in order}) > 1
+
+
+def test_singular_member_is_nan_alone():
+    a = random_stack(5, 3, 6)
+    a[1, 4] = a[1, 2]                       # two equal rows: an exactly zero pivot
+    lu, order = check_against_row_loops(a, np.random.default_rng(5))
+    assert (np.diagonal(lu[1]) == 0).any() and np.diagonal(lu[[0, 2]], axis1=1, axis2=2).all()
+    x = _precision.lu_solve_extended(lu, order, np.ones((3, 6, 2)))
+    assert np.isnan(x[1]).any() and np.isfinite(x[[0, 2]]).all()
+    alone = _precision.lu_solve_extended(*_precision.lu_extended(a[[0, 2]]), np.ones((2, 6, 2)))
+    assert_same_bits(x[[0, 2]], alone)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_member_leaves_its_neighbours(bad):
+    a = random_stack(11, 3, 5)
+    a[0, 3, 1] = bad
+    lu, order = _precision.lu_extended(a)
+    assert not np.isfinite(lu[0]).all()
+    rhs = np.ones((3, 5, 2))
+    x = _precision.lu_solve_extended(lu, order, rhs)
+    alone = _precision.lu_extended(a[1:])
+    assert_same_bits(lu[1:], alone[0])
+    assert_same_bits(x[1:], _precision.lu_solve_extended(*alone, rhs[1:]))
+
+
+def test_two_dimensional_input_is_a_stack_of_one():
+    a = random_stack(13, 1, 7)
+    lu, order = _precision.lu_extended(a[0])
+    stacked = _precision.lu_extended(a)
+    assert lu.shape == (7, 7) and order.shape == (7,)
+    assert_same_bits(lu, stacked[0][0])
+    for rhs in (np.arange(7.0), np.arange(14.0).reshape(7, 2)):
+        x = _precision.lu_solve_extended(lu, order, rhs)
+        assert x.shape == rhs.shape
+        assert_same_bits(x, _precision.lu_solve_extended(*stacked, rhs[None])[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(2, 10),
+       st.integers(0, 3), st.booleans())
+def test_stacked_refinement_matches_row_loops(seed, size, n, steps, vector):
+    rng = np.random.default_rng(seed)
+    # graded rows make refinement do real work in 80 bits
+    a = random_stack(seed, size, n) * np.logspace(0, 12, n)[:, None]
+    rhs = rng.standard_normal((size, n) if vector else (size, n, 2))
+    n_interp = max(1, n - 1)
+    matrix = a.astype(np.longdouble)
+    lu, order = _precision.lu_extended(matrix)
+    z, res = _precision._refined_solve(
+        matrix.__matmul__, lambda b: _precision.lu_solve_extended(lu, order, b), rhs,
+        n_interp, steps)
+    assert z.shape == rhs.shape and len(res) == size
+    for i in range(size):
+        lu_i, order_i = row_loop_lu(matrix[i])
+        z_i, res_i = row_loop_refine(matrix[i], lambda b: row_loop_solve(lu_i, order_i, b),
+                                     rhs[i], n_interp, steps)
+        assert_same_bits(z[i], z_i)
+        assert res[i] == res_i
+
+
+def test_refinement_freezes_a_member_whose_residual_goes_non_finite():
+    a = random_stack(17, 3, 5).astype(np.longdouble)
+    a[1, 2] = a[1, 0]                       # singular: its solve is NaN from the start
+    rhs = np.random.default_rng(17).standard_normal((3, 5, 2))
+    lu, order = _precision.lu_extended(a)
+    calls = []
+
+    def solve_once(b):
+        calls.append(b.copy())
+        return _precision.lu_solve_extended(lu, order, b)
+
+    z, res = _precision._refined_solve(a.__matmul__, solve_once, rhs, 5, 3)
+    assert res[1] == np.inf and np.isfinite([res[0], res[2]]).all()
+    assert len(calls) == 4 and all((b[1] == 0).all() for b in calls[1:])
+    for i in (0, 2):
+        lu_i, order_i = row_loop_lu(a[i])
+        z_i, res_i = row_loop_refine(a[i], lambda b: row_loop_solve(lu_i, order_i, b),
+                                     rhs[i], 5, 3)
+        assert_same_bits(z[i], z_i)
+        assert res[i] == res_i

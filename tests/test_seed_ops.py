@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 TOOL_PATH = Path(__file__).resolve().parents[1] / "tools" / "seed_ops.py"
 
@@ -43,3 +44,36 @@ def test_compare_reports_every_differing_bit(tmp_path, capsys):
     assert "g|c|0.2|grid: differs" in out
     assert f"g|c|0.2|rung: only in {a}" in out and f"g|c|0.2|error: only in {b}" in out
     assert "3 of 3 fields differ" in out
+
+
+def test_record_holds_each_nodal_interpolant_of_a_shepard_operation():
+    fields = load_tool().record("shep-g", "real-life", 0.2)
+    n = len(fields["landmarks"])
+    assert {f"nodal{j}_solution" for j in range(n)} <= set(fields)
+    assert fields["nodal_residual"].shape == fields["nodal_condition"].shape == (n,)
+    rungs = list(fields["nodal_rung"])
+    assert ",".join(rungs) == str(fields["rung"])
+    top = fields[f"nodal{rungs.index('mp')}_solution"]     # double-double: hi and lo words
+    assert top.dtype == np.float64 and top.shape[0] == 2 and top.shape[2] == 2
+
+
+X87 = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize > 10
+
+
+@pytest.mark.skipif(not X87, reason="np.longdouble is not the x87 80-bit format here")
+def test_compare_reads_only_the_value_bytes_of_extended_floats(tmp_path, capsys):
+    tool = load_tool()
+    key = "shep-g|c|0.4|nodal0_solution"
+    values = np.array([1.0, -2.5, 0.1], dtype=np.longdouble) / 3
+    padded = values.copy()
+    padded.view(np.uint8).reshape(3, -1)[:, 10:] = 0xA5     # the 6 bytes after the value
+    assert padded.tobytes() != values.tobytes()
+    a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+    np.savez(a, **{key: values})
+    np.savez(b, **{key: padded})
+    assert tool.main(["compare", str(a), str(b)]) == 0
+    one_ulp = padded.copy()
+    one_ulp[2] = np.nextafter(one_ulp[2], np.longdouble(1.0))
+    np.savez(b, **{key: one_ulp})
+    assert tool.main(["compare", str(a), str(b)]) == 1
+    assert f"{key}: differs" in capsys.readouterr().out

@@ -206,6 +206,52 @@ def test_degenerate_neighborhood_reports_node():
         build_nodal_interpolants(lm, cfg)
 
 
+def test_degenerate_neighborhood_after_the_first_names_its_own_node():
+    """Only landmark 3's neighborhood is collinear; the stacked solve names it.
+
+    The message carries the residual and condition estimate of node 3's own
+    system, as a solve of that neighborhood alone reports them.
+    """
+    src = np.array([[-0.2, 0.05], [0.0, 0.0], [0.38, 0.05],
+                    [0.1, 0.0], [0.2, 0.0], [0.35, 0.0]])
+    lm = LandmarkSet(src, src + [0.0, 0.1])
+    cfg = ShepardConfig(ThinPlateSpline(), n_l=4, n_w=4)
+    neighbors = [nearest_landmarks(lm, x, 4) for x in src]
+    collinear = [j for j, idx in enumerate(neighbors)
+                 if np.linalg.matrix_rank(np.c_[np.ones(4), src[idx]]) < 3]
+    assert collinear == [3]
+    from landreg.transform import SolveError, solve_transform
+    with pytest.raises(SolveError) as alone:
+        solve_transform(ThinPlateSpline(), lm.subset(neighbors[3]))
+    with pytest.raises(NodalSolveError) as stacked:
+        build_nodal_interpolants(lm, cfg)
+    assert str(stacked.value) == f"nodal interpolant 3: {alone.value}"
+    assert "best residual" in str(stacked.value) and "condition estimate" in str(stacked.value)
+
+
+def test_stacked_nodal_solves_equal_single_solves():
+    """Each nodal interpolant of a stacked build carries the bits of its own solve.
+
+    At alpha = 1.2 some Gaussian nodal systems stay in float64 and the
+    others go on as one 80-bit stack; the TPS ones all stay in float64.
+    """
+    src = square_cloud(6, jitter=0.02, seed=2)
+    lm = LandmarkSet(src, displaced(src))
+    from landreg.transform import solve_transform
+    for kernel in (Gaussian(1.2), ThinPlateSpline()):
+        nodal = build_nodal_interpolants(lm, ShepardConfig(kernel, n_l=12, n_w=8))
+        for nf in nodal:
+            alone = solve_transform(kernel, lm.subset(nf.neighbors))
+            assert nf.interpolant.precision == alone.precision
+            assert nf.interpolant.residual == alone.residual
+            assert nf.interpolant.condition == alone.condition
+            got, want = nf.interpolant._z, alone._z
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+        rungs = {nf.interpolant.precision for nf in nodal}
+        assert rungs == ({"double", "longdouble"} if isinstance(kernel, Gaussian) else {"double"})
+
+
 def test_case1_nodal_residuals():
     from landreg.bench import CaseSpec, gen_case
     landmarks, _, _ = gen_case(CaseSpec("square-shift-32"))

@@ -11,10 +11,15 @@ the landreg to record on the path:
 
 ``dump`` records, per operation, the grid output, the transform's values at
 the source landmarks, the landmark residual, the condition estimate and the
-rung it was accepted at (a Shepard transform records its nodal rungs), or
-the error message of a solve that failed.  ``compare`` lists every field
-whose bits differ, or that only one file has, and exits 1 if there is any;
-it needs numpy only.
+rung it was accepted at, or the error message of a solve that failed.  A
+Shepard transform records its nodal rungs joined as its rung, and every
+nodal interpolant's own solution (coefficients and tail, in the precision
+of its rung; a double-double one as its stacked hi and lo words), residual,
+condition estimate and rung.  ``compare`` lists every field whose bits
+differ, or that only one file has, and exits 1 if there is any; it needs
+numpy only.  An x87 80-bit longdouble is stored in 12 or 16 bytes, of which
+only the first 10 carry the value; ``compare`` reads those and ignores the
+padding, which numpy leaves as whatever was in memory.
 """
 
 from __future__ import annotations
@@ -42,6 +47,23 @@ def _rung(transform) -> str:
     return ",".join(nf.interpolant.precision for nf in transform.nodal)
 
 
+def _solution(interpolant) -> np.ndarray:
+    z = interpolant._z
+    return np.stack([z.hi, z.lo]) if interpolant.precision == "mp" else z
+
+
+def _nodal_fields(transform) -> dict:
+    """Each nodal interpolant's solution, residual, condition and rung."""
+    nodal = [nf.interpolant for nf in getattr(transform, "nodal", ())]
+    if not nodal:
+        return {}
+    fields = {f"nodal{j}_solution": _solution(t) for j, t in enumerate(nodal)}
+    fields["nodal_residual"] = np.array([t.residual for t in nodal])
+    fields["nodal_condition"] = np.array([t.condition for t in nodal])
+    fields["nodal_rung"] = np.array([t.precision for t in nodal])
+    return fields
+
+
 def record(method, case, value) -> dict:
     """The fields of one operation, as numpy arrays."""
     from landreg import bench
@@ -57,6 +79,7 @@ def record(method, case, value) -> dict:
         "residual": np.array(transform.residual),
         "condition": np.array(transform.condition),
         "rung": np.array(_rung(transform)),
+        **_nodal_fields(transform),
     }
 
 
@@ -70,8 +93,18 @@ def dump(path: str) -> int:
     return 0
 
 
+def _significant_bytes(array) -> bytes:
+    """The bytes of an array's values: an x87 extended value drops its padding."""
+    dtype = array.dtype
+    if dtype.kind == "f" and dtype.itemsize > 10 and np.finfo(dtype).nmant == 63:
+        raw = np.ascontiguousarray(array).reshape(-1).view(np.uint8)
+        return raw.reshape(-1, dtype.itemsize)[:, :10].tobytes()   # little-endian: value first
+    return array.tobytes()
+
+
 def _same(a, b) -> bool:
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and _significant_bytes(a) == _significant_bytes(b))
 
 
 def compare(path_a: str, path_b: str) -> int:
