@@ -405,10 +405,10 @@ def solve_transform(kernel: RadialKernel, landmarks):
     """
     single = isinstance(landmarks, LandmarkSet)
     sets = [landmarks] if single else list(landmarks)
+    if not sets or any(lm.n != sets[0].n or lm.dimension != sets[0].dimension for lm in sets):
+        raise ValueError("stacked landmark sets must be one or more, sharing N and dimension")
     degree = polynomial_tail_degree(kernel)
     n, dim = sets[0].n, sets[0].dimension
-    if any(lm.n != n or lm.dimension != dim for lm in sets):
-        raise ValueError("stacked landmark sets must share N and dimension")
     u = tail_dimension(dim, degree)
     if u and u >= n:
         raise ValueError(

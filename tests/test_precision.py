@@ -238,9 +238,13 @@ def test_stacked_lu_pivots_each_system_on_its_own_rows():
     assert len({tuple(o) for o in order}) > 1
 
 
-def test_singular_member_is_nan_alone():
+@pytest.mark.parametrize("make_singular", [
+    lambda m: m.__setitem__(4, m[2]),                        # two equal rows: the last pivot is 0
+    lambda m: m.__setitem__((slice(None), 2), 0.0),          # a zero column: step 2's pivot is 0
+], ids=["equal-rows", "zero-column"])
+def test_singular_member_is_nan_alone(make_singular):
     a = random_stack(5, 3, 6)
-    a[1, 4] = a[1, 2]                       # two equal rows: an exactly zero pivot
+    make_singular(a[1])
     lu, order = check_against_row_loops(a, np.random.default_rng(5))
     assert (np.diagonal(lu[1]) == 0).any() and np.diagonal(lu[[0, 2]], axis1=1, axis2=2).all()
     x = _precision.lu_solve_extended(lu, order, np.ones((3, 6, 2)))

@@ -284,6 +284,17 @@ def test_tail_larger_than_landmark_count_rejected():
         solve_transform(ThinPlateSpline(), lm)  # U = 3 needs N > 3
 
 
+def test_stacked_landmark_sets_must_be_nonempty_and_alike():
+    src = grid_landmarks()
+    lm = LandmarkSet(src, src + 0.02)
+    with pytest.raises(ValueError, match="one or more"):
+        solve_transform(Gaussian(1.0), [])
+    with pytest.raises(ValueError, match="sharing N"):
+        solve_transform(Gaussian(1.0), [lm, lm.subset(np.arange(len(src) - 1))])
+    stacked = solve_transform(Gaussian(1.0), [lm, lm])
+    assert len(stacked) == 2 and all(t.residual <= 1e-10 for t in stacked)
+
+
 def test_interpolation_residual_recorded():
     src = grid_landmarks()
     lm = LandmarkSet(src, src + 0.02)
