@@ -44,7 +44,9 @@ def k_nearest(sources, points, k: int):
     Each row is ordered by (squared distance, index), as a stable argsort of
     the row would order it.  Points are taken in chunks of CHUNK_BYTES; in
     each row only the candidates within its k-th smallest distance
-    (``np.partition``) are sorted.
+    (``np.partition``) are sorted.  They are packed in index order into a
+    row padded with +inf to the chunk's largest candidate count, so a
+    stable row-wise argsort breaks ties by index and leaves the padding last.
     """
     n = len(sources)
     if not 1 <= k <= n:
@@ -56,13 +58,15 @@ def k_nearest(sources, points, k: int):
         d2 = squared_distances(points[start:start + step], sources)
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
         rows, cols = np.nonzero(d2 <= kth)           # row-major: index order within a row
-        vals = d2[rows, cols]
-        order = np.lexsort((vals, rows))              # stable, so ties stay in index order
         counts = np.bincount(rows, minlength=len(d2))
-        rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-        keep = order[rank < k]
-        indices[start:start + len(d2)] = cols[keep].reshape(-1, k)
-        dist2[start:start + len(d2)] = vals[keep].reshape(-1, k)
+        slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        packed = np.full((len(d2), counts.max()), np.inf)
+        packed[rows, slot] = d2[rows, cols]
+        candidates = np.zeros(packed.shape, dtype=np.intp)
+        candidates[rows, slot] = cols
+        order = np.argsort(packed, axis=1, kind="stable")[:, :k]
+        indices[start:start + len(d2)] = np.take_along_axis(candidates, order, axis=1)
+        dist2[start:start + len(d2)] = np.take_along_axis(packed, order, axis=1)
     return indices, dist2
 
 

@@ -12,13 +12,14 @@ used, so the weight sum never vanishes.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import RadialKernel, polynomial_tail_degree
-from .landmarks import LandmarkSet, k_nearest, squared_distances
-from .transform import (GlobalRadialTransform, SolveError, Transformation,
+from .landmarks import CHUNK_BYTES, LandmarkSet, k_nearest, squared_distances
+from .transform import (GlobalRadialTransform, SolveError, Transformation, _Problem,
                         solve_transform, tail_dimension)
 
 
@@ -45,6 +46,10 @@ class ShepardConfig:
     rho: float | None = None
 
     def __post_init__(self):
+        for name in ("n_l", "n_w"):
+            size = getattr(self, name)
+            if not isinstance(size, numbers.Integral) or isinstance(size, bool):
+                raise ValueError(f"neighborhood size {name} must be an integer, got {size!r}")
         if self.n_l < 1 or self.n_w < 1:
             raise ValueError("neighborhood sizes n_l and n_w must be >= 1")
         if self.rho is not None and not self.rho > 0:
@@ -119,7 +124,38 @@ def _weights_matrix(landmarks: LandmarkSet, cfg: ShepardConfig, rho, pts) -> np.
     return wbar
 
 
+def _shared_values(kernel, landmarks, members, pts, dtype):
+    """Evaluate the members' interpolants from one shared kernel block, or None.
+
+    members is [(NodalFunction, the points it weighs)], all of one rung.
+    The block pairs every such point with every landmark of the members'
+    neighborhoods, in the rung's dtype.  Kernel values are elementwise, so
+    the (P_j, N_L) sub-block a member gathers carries the bits of its own
+    kernel_rows.  None when the block would hold more entries than the
+    members' separate blocks together, or more than CHUNK_BYTES; within
+    CHUNK_BYTES each member's own evaluation is one chunk too, so the
+    gathered product is the one it would run.
+    """
+    if not members:
+        return None
+    points = np.unique(np.concatenate([active for _, active in members]))
+    cols = np.unique(np.concatenate([nf.neighbors for nf, _ in members]))
+    entries = len(points) * len(cols)
+    if (entries > sum(len(active) * len(nf.neighbors) for nf, active in members)
+            or entries * dtype.itemsize > CHUNK_BYTES):
+        return None
+    x = pts[points].astype(dtype)
+    block = _Problem(kernel, False, landmarks.sources[cols], None).kernel_rows(x)
+
+    def values(nf, active):
+        rows = np.searchsorted(points, active)
+        sub = block[np.ix_(rows, np.searchsorted(cols, nf.neighbors))]
+        return nf.interpolant._block_values(x[rows], sub)
+    return values
+
+
 def _evaluate(cfg, landmarks, rho, nodal, pts):
+    """F = sum_j L_j Wbar_j at pts; the float64 or 80-bit L_j of a rung may share a kernel block."""
     wbar = _weights_matrix(landmarks, cfg, rho, pts)
     out = np.zeros((pts.shape[0], landmarks.dimension))
     # the points each landmark weighs, grouped by landmark, ascending within a group
@@ -127,10 +163,16 @@ def _evaluate(cfg, landmarks, rho, nodal, pts):
     order = np.argsort(nodes, kind="stable")
     rows, nodes = rows[order], nodes[order]
     bounds = np.searchsorted(nodes, np.arange(landmarks.n + 1))
-    for nf in nodal:
-        active = rows[bounds[nf.center]:bounds[nf.center + 1]]
-        if len(active):
-            out[active] += wbar[active, nf.center, None] * nf.interpolant(pts[active])
+    members = [(nf, rows[bounds[nf.center]:bounds[nf.center + 1]]) for nf in nodal]
+    members = [(nf, active) for nf, active in members if len(active)]
+    shared = {}
+    for precision, dtype in (("double", float), ("longdouble", np.longdouble)):
+        rung = [(nf, active) for nf, active in members if nf.interpolant.precision == precision]
+        shared[precision] = _shared_values(cfg.nodal_kernel, landmarks, rung, pts, np.dtype(dtype))
+    for nf, active in members:
+        from_block = shared.get(nf.interpolant.precision)
+        values = from_block(nf, active) if from_block else nf.interpolant(pts[active])
+        out[active] += wbar[active, nf.center, None] * values
     return out
 
 

@@ -371,11 +371,20 @@ class _SolvedTransform(Transformation):
         for start in chunks:
             xc = x[start:start + step]
             cols = problem.reaching(xc) if len(chunks) > 1 else slice(None)
-            values = problem.kernel_rows(xc, cols) @ self.coef[cols]
-            if problem.tail_degree is not None:
-                values = values + monomial_matrix(xc, problem.tail_degree) @ self.poly_coef
-            out[start:start + step] = values
+            out[start:start + step] = self._block_values(xc, problem.kernel_rows(xc, cols), cols)
         return out
+
+    def _block_values(self, x, block, cols=slice(None)):
+        """float64 values at points x, in the rung's dtype, from their kernel block.
+
+        block is kernel_rows(x, cols).  A float64 product's bits depend on its
+        row count, so a caller holding a larger kernel block gathers exactly
+        these rows into a block of their own.
+        """
+        values = block @ self.coef[cols]
+        if self.tail_degree is not None:
+            values = values + monomial_matrix(x, self.tail_degree) @ self.poly_coef
+        return values.astype(float, copy=False)
 
     @property
     def kernel(self):

@@ -57,6 +57,16 @@ def test_record_holds_each_nodal_interpolant_of_a_shepard_operation():
     assert top.dtype == np.float64 and top.shape[0] == 2 and top.shape[2] == 2
 
 
+def test_record_dense_holds_the_three_scale_dense_transforms():
+    records = dict(load_tool().record_dense())
+    assert list(records) == ["wendland", "tps", "shepard-tps"]
+    for fields in records.values():
+        assert set(fields) == {"grid", "landmarks", "residual", "condition"}
+        assert fields["grid"].shape == (141 * 141, 2) and fields["landmarks"].shape == (1000, 2)
+        assert fields["residual"].shape == fields["condition"].shape == ()
+        assert all(array.dtype == np.float64 for array in fields.values())
+
+
 X87 = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize > 10
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from landreg import shepard
+from landreg.bench import CaseSpec, build_method, default_grid, gen_case
 from landreg.kernels import Gaussian, ThinPlateSpline
 from landreg.landmarks import LandmarkSet
 from landreg.shepard import (SNAP_RADIUS, NodalSolveError, ShepardConfig,
@@ -57,6 +59,12 @@ def test_nearest_landmarks_k_bounds():
 def test_config_validation():
     with pytest.raises(ValueError):
         ShepardConfig(ThinPlateSpline(), n_l=0, n_w=5)
+    for n_l, n_w in ((2.5, 4), (2, 4.0), ("4", 4), (4, True), (None, 4)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ShepardConfig(Gaussian(1.0), n_l=n_l, n_w=n_w)
+    cfg = ShepardConfig(Gaussian(1.0), n_l=np.int64(2), n_w=np.int32(4))
+    src = square_cloud(3)
+    assert build_shepard_transform(LandmarkSet(src, src), cfg).residual < 1e-12
     with pytest.raises(ValueError):
         ShepardConfig(ThinPlateSpline(), n_l=5, n_w=5, rho=-1.0)
     src = square_cloud(3)
@@ -274,3 +282,95 @@ def test_node_radii_rules():
     for j in range(lm.n):
         d = np.sort(np.sqrt(((src - src[j]) ** 2).sum(1)))
         assert auto[j] == pytest.approx(2.0 * d[2], rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# nodal evaluation from one shared kernel block per rung
+
+
+def per_node_evaluation(t, points):
+    """Shepard evaluation with one interpolant call per node: the reference for shared blocks."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    wbar = _weights_matrix(t.landmarks, t.config, t.rho, pts)
+    out = np.zeros((len(pts), t.landmarks.dimension))
+    for nf in t.nodal:
+        active = np.flatnonzero(wbar[:, nf.center])
+        if len(active):
+            out[active] += wbar[active, nf.center, None] * nf.interpolant(pts[active])
+    return out
+
+
+@pytest.fixture
+def shared_blocks(monkeypatch):
+    """The dtype of every shared block an evaluation builds, or None where the rule refuses it."""
+    built = []
+    shared_values = shepard._shared_values
+
+    def spy(kernel, landmarks, members, pts, dtype):
+        values = shared_values(kernel, landmarks, members, pts, dtype)
+        if members:
+            built.append(dtype if values else None)
+        return values
+
+    monkeypatch.setattr(shepard, "_shared_values", spy)
+    return built
+
+
+def assert_bitwise_per_node(t, points):
+    got, want = np.atleast_2d(t(points)), per_node_evaluation(t, points)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def rungs(t):
+    return {nf.interpolant.precision for nf in t.nodal}
+
+
+GRID = default_grid(40, 40).points
+
+
+def test_shared_block_tps_with_tail_on_a_grid_is_bitwise(shared_blocks):
+    src = square_cloud(6, jitter=0.02, seed=2)
+    t = build_shepard_transform(LandmarkSet(src, displaced(src)), TPS_CFG)
+    assert rungs(t) == {"double"} and t.nodal[0].interpolant.tail_degree == 1
+    assert_bitwise_per_node(t, GRID)
+    assert shared_blocks == [np.dtype(float)]
+
+
+def test_shared_blocks_of_mixed_float64_and_80bit_nodes_are_bitwise(shared_blocks):
+    src = square_cloud(6, jitter=0.02, seed=2)
+    t = build_shepard_transform(LandmarkSet(src, displaced(src)),
+                                ShepardConfig(Gaussian(1.2), n_l=16, n_w=12))
+    assert rungs(t) == {"double", "longdouble"}
+    assert_bitwise_per_node(t, GRID)
+    assert shared_blocks == [np.dtype(float), np.dtype(np.longdouble)]
+
+
+def test_double_double_nodes_stay_per_node(shared_blocks):
+    landmarks, grid, _ = gen_case(CaseSpec("square-scale-64"))
+    t = build_method("shep-g", landmarks, "square-scale-64", 2.0)
+    assert [nf.interpolant.precision for nf in t.nodal].count("mp") == 4
+    assert_bitwise_per_node(t, grid.points)
+    assert shared_blocks == [np.dtype(np.longdouble)]
+
+
+def test_block_larger_than_the_separate_blocks_is_refused(shared_blocks):
+    src = square_cloud(20, 0.0, 1.0)
+    t = build_shepard_transform(LandmarkSet(src, displaced(src, amplitude=0.01)),
+                                ShepardConfig(ThinPlateSpline(), n_l=4, n_w=4))
+    assert t.landmarks.n == 400
+    assert_bitwise_per_node(t, GRID)
+    assert shared_blocks == [None]
+
+
+def test_nodes_that_weigh_no_point_and_tiny_inputs(shared_blocks):
+    src = square_cloud(6, jitter=0.02, seed=2)
+    t = build_shepard_transform(LandmarkSet(src, displaced(src)),
+                                ShepardConfig(Gaussian(1.2), n_l=16, n_w=12))
+    corner = GRID[(GRID < 0.3).all(1)]
+    wbar = _weights_matrix(t.landmarks, t.config, t.rho, corner)
+    idle = [nf for nf in t.nodal if not wbar[:, nf.center].any()]
+    assert idle and {nf.interpolant.precision for nf in idle} == {"double", "longdouble"}
+    assert_bitwise_per_node(t, corner)
+    assert_bitwise_per_node(t, GRID[123])
+    assert t(GRID[123]).shape == (2,)
+    assert t(np.zeros((0, 2))).shape == (0, 2)

@@ -3,8 +3,11 @@
 A seed-case operation builds one method of ``landreg.bench`` on one of its
 seven cases at one parameter value (alpha in 0.2, 0.4, 1.2, 2.0 or c in 0.1,
 0.2, 0.6, 1.0; tps and shep-tps take none) and evaluates it on the 40 x 40
-default grid: 238 operations in all.  Run from the root of a checkout, with
-the landreg to record on the path:
+default grid: 238 operations in all.  ``dump`` also records the three
+scale-dense transforms of the benchmark at seed 0 (Wendland, TPS and
+Shepard-TPS on N = 1000 landmarks and a 141 x 141 grid), whose inputs it
+takes from ``perfbench/workloads.py``, loaded read-only.  Run from the root
+of a checkout, with the landreg to record on the path:
 
     PYTHONPATH=src python3 tools/seed_ops.py dump OUT.npz
     python3 tools/seed_ops.py compare A.npz B.npz
@@ -15,21 +18,27 @@ rung it was accepted at, or the error message of a solve that failed.  A
 Shepard transform records its nodal rungs joined as its rung, and every
 nodal interpolant's own solution (coefficients and tail, in the precision
 of its rung; a double-double one as its stacked hi and lo words), residual,
-condition estimate and rung.  ``compare`` lists every field whose bits
-differ, or that only one file has, and exits 1 if there is any; it needs
-numpy only.  An x87 80-bit longdouble is stored in 12 or 16 bytes, of which
-only the first 10 carry the value; ``compare`` reads those and ignores the
-padding, which numpy leaves as whatever was in memory.
+condition estimate and rung.  A scale-dense transform records its grid
+output, landmark values, residual and condition estimate.  ``compare``
+lists every field whose bits differ, or that only one file has, and exits 1
+if there is any; it needs numpy only.  An x87 80-bit longdouble is stored
+in 12 or 16 bytes, of which only the first 10 carry the value; ``compare``
+reads those and ignores the padding, which numpy leaves as whatever was in
+memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
+from pathlib import Path
 
 import numpy as np
 
 VALUES = {"alpha": (0.2, 0.4, 1.2, 2.0), "c": (0.1, 0.2, 0.6, 1.0), None: (None,)}
+WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+DENSE_SEED = 0
 
 
 def operations():
@@ -83,13 +92,43 @@ def record(method, case, value) -> dict:
     }
 
 
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module      # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def record_dense():
+    """(method, fields) of each scale-dense transform at DENSE_SEED, as the benchmark builds it."""
+    from landreg import bench
+    from landreg.landmarks import LandmarkSet
+    workloads = _workloads()
+    sources, targets = workloads.dense_landmarks(DENSE_SEED)
+    grid = bench.default_grid(workloads.DENSE_GRID, workloads.DENSE_GRID).points
+    landmarks = LandmarkSet(sources, targets)
+    for method, build in workloads.dense_methods(landmarks.n):
+        transform = build(landmarks)
+        yield method, {
+            "grid": transform(grid),
+            "landmarks": transform(landmarks.sources),
+            "residual": np.array(transform.residual),
+            "condition": np.array(transform.condition),
+        }
+
+
 def dump(path: str) -> int:
     fields = {}
     for method, case, value in operations():
         for name, array in record(method, case, value).items():
             fields[f"{method}|{case}|{value}|{name}"] = array
+    for method, dense_fields in record_dense():
+        for name, array in dense_fields.items():
+            fields[f"{method}|scale-dense|{DENSE_SEED}|{name}"] = array
     np.savez(path, **fields)
-    print(f"{len(fields)} fields of {len(list(operations()))} operations -> {path}")
+    print(f"{len(fields)} fields of {len(list(operations()))} seed-case operations "
+          f"and the scale-dense transforms -> {path}")
     return 0
 
 
