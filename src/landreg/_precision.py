@@ -23,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._dd import DDArray
-from .kernels import Wendland1D, _radial, _univariate
+from .kernels import Gaussian, Wendland1D, _radial, _univariate
+from .landmarks import distinct_axes
 from .lobachevsky import LobachevskySpline, _spline
 
 EVAL_BLOCK = 8192   # kernel entries per evaluation block: temporaries stay in cache
@@ -153,10 +154,13 @@ def lu_solve_extended(lu, order, rhs):
 # double-double
 
 def _factor(kernel, delta):
+    """A tensor factor psi(delta), or a Gaussian's factor along one axis, as DDArrays."""
     if isinstance(kernel, Wendland1D):
         return _univariate(kernel, delta)
     if isinstance(kernel, LobachevskySpline):
         return _spline(kernel, delta, _ONE)
+    if isinstance(kernel, Gaussian):
+        return _radial(kernel, abs(delta))
     raise ValueError(f"kernel {kernel!r} is not a univariate tensor factor")
 
 
@@ -241,17 +245,57 @@ def mp_solve(kernel, tensor, sources, tail_degree, exponents, rhs):
     return z, (float(np.abs(r[:n]).max()) if np.isfinite(r).all() else np.inf)
 
 
+def _axis_tables(kernel, tensor, pts, centers):
+    """Per coordinate: (factor rows over its distinct values, each point's row), or None.
+
+    A tensor kernel, and a Gaussian at points with some coordinate of at most
+    P/2 distinct values, are evaluated as products of axis factors; an axis
+    of that many distinct values gets its table here, over the whole point
+    set, and an axis with more is evaluated per block (None).  Returns None
+    for the radial form.
+    """
+    distinct = distinct_axes(pts)
+    if not (tensor or (isinstance(kernel, Gaussian)
+                       and any(values is not None for values in distinct))):
+        return None
+    return [None if values is None
+            else (_factor(kernel, DDArray(values)[:, None] - centers[None, :, d]),
+                  np.searchsorted(values, pts[:, d]))
+            for d, values in enumerate(distinct)]
+
+
+def _product_rows(kernel, tables, x, centers, rows):
+    """Prod_d psi(x_d - c_d) for the points at rows, from the axis tables or directly."""
+    out = None
+    for d, table in enumerate(tables):
+        if table is None:
+            factor = _factor(kernel, x[:, None, d] - centers[None, :, d])
+        else:
+            factor = table[0][table[1][rows]]
+        out = factor if out is None else out * factor
+    return out
+
+
 def mp_evaluate(kernel, tensor, coef, tail_degree, exponents, points, centers):
-    """Evaluate a transform with double-double coefficients, as float64."""
+    """Evaluate a transform with double-double coefficients, as float64.
+
+    Kernel rows are built in blocks of EVAL_BLOCK entries, from the axis
+    tables of _axis_tables where it gives them.
+    """
     pts = np.atleast_2d(points)
     ctr = DDArray(centers)
     n = len(ctr)
     kernel_coef, tail_coef = coef[:n], coef[n:]
     out = np.empty((len(pts), coef.shape[1]))
+    tables = _axis_tables(kernel, tensor, pts, ctr)
     step = max(1, EVAL_BLOCK // n)
     for start in range(0, len(pts), step):
         x = DDArray(pts[start:start + step])
-        values = _kernel_rows(kernel, tensor, x, ctr) @ kernel_coef
+        if tables is None:
+            kernel_rows = _kernel_rows(kernel, tensor, x, ctr)
+        else:
+            kernel_rows = _product_rows(kernel, tables, x, ctr, slice(start, start + step))
+        values = kernel_rows @ kernel_coef
         if tail_degree is not None:
             values = values + _monomials(x, exponents) @ tail_coef
         out[start:start + step] = values.to_float()

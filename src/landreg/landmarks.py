@@ -38,6 +38,23 @@ def squared_distances(points, sources):
     return d2
 
 
+def distinct_axes(x):
+    """Per coordinate of x (P, m): its distinct values, or None where more than P/2 are distinct.
+
+    A coordinate whose values are all float64 numbers (as the 80-bit rung's
+    points are) is sorted in float64, several times faster than in longdouble.
+    """
+    out = []
+    for d in range(x.shape[1]):
+        column = x[:, d]
+        narrow = column.astype(float, copy=False)
+        if narrow is not column and np.array_equal(narrow, column):
+            column = narrow
+        values = np.unique(column)
+        out.append(None if 2 * len(values) > len(x) else values.astype(x.dtype, copy=False))
+    return out
+
+
 def k_nearest(sources, points, k: int):
     """The k sources nearest each point: (indices, squared distances), each (P, k).
 
@@ -137,6 +154,29 @@ class LandmarkSet:
         return self.n
 
     def subset(self, indices) -> "LandmarkSet":
-        """Landmark set restricted to (and renumbered by) the given indices."""
-        idx = np.asarray(indices, dtype=int)
-        return LandmarkSet(self.sources[idx], self.targets[idx], self.quasi[idx])
+        """Landmark set restricted to (and renumbered by) the given indices.
+
+        The subset inherits this set's checks, so only the indices are
+        checked: a non-empty 1-D sequence of distinct integers in 0..N-1.  A
+        repeated index is a pair of coinciding landmarks.
+        """
+        idx = np.asarray(indices)
+        if idx.ndim != 1 or not len(idx):
+            raise ValueError("subset indices must be a non-empty 1-D sequence")
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"subset indices must be integers, got dtype {idx.dtype}")
+        ordered = np.sort(idx)
+        if ordered[0] < 0 or ordered[-1] >= self.n:
+            raise ValueError(f"subset indices must be in 0..{self.n - 1}")
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if len(repeated):
+            i = int(np.flatnonzero(np.isin(idx, repeated))[0])
+            j = int(np.flatnonzero(idx == idx[i])[1])
+            raise ValueError(f"degenerate input: source landmarks {i} and {j} "
+                             f"coincide (separation {0.0:.3e})")
+        out = object.__new__(LandmarkSet)
+        for name in ("sources", "targets", "quasi"):
+            arr = getattr(self, name)[idx]
+            arr.setflags(write=False)
+            object.__setattr__(out, name, arr)
+        return out

@@ -19,8 +19,8 @@ import numpy as np
 
 from .kernels import RadialKernel, polynomial_tail_degree
 from .landmarks import CHUNK_BYTES, LandmarkSet, k_nearest, squared_distances
-from .transform import (GlobalRadialTransform, SolveError, Transformation, _Problem,
-                        solve_transform, tail_dimension)
+from .transform import (GlobalRadialTransform, SharedKernelBlock, SolveError, Transformation,
+                        _Problem, solve_transform, tail_dimension)
 
 
 SNAP_RADIUS = 1e-12   # points this close to a landmark take its weight alone
@@ -52,8 +52,10 @@ class ShepardConfig:
                 raise ValueError(f"neighborhood size {name} must be an integer, got {size!r}")
         if self.n_l < 1 or self.n_w < 1:
             raise ValueError("neighborhood sizes n_l and n_w must be >= 1")
-        if self.rho is not None and not self.rho > 0:
-            raise ValueError("fixed hypercube side rho must be positive")
+        rho = self.rho
+        if rho is not None and not (isinstance(rho, numbers.Real) and not isinstance(rho, bool)
+                                    and 0 < rho < np.inf):
+            raise ValueError(f"fixed hypercube side rho must be positive and finite, got {rho!r}")
 
 
 def _validate(cfg: ShepardConfig, landmarks: LandmarkSet):
@@ -92,15 +94,33 @@ class NodalFunction:
     interpolant: GlobalRadialTransform
 
 
+def _landmark_block(kernel, landmarks: LandmarkSet, n_l: int) -> SharedKernelBlock | None:
+    """The landmarks x landmarks kernel block the nodal systems share, or None.
+
+    A float64 or 80-bit rung takes the block only when its N^2 entries are
+    no more than the N separate (N_L, N_L) blocks hold together, and it
+    fits CHUNK_BYTES; a refused rung, and the double-double rung, assemble
+    each system on its own.
+    """
+    n = landmarks.n
+    dtypes = [dtype for dtype in (np.dtype(float), np.dtype(np.longdouble))
+              if n <= n_l * n_l and n * n * dtype.itemsize <= CHUNK_BYTES]
+    return SharedKernelBlock(kernel, landmarks.sources, dtypes) if dtypes else None
+
+
 def build_nodal_interpolants(landmarks: LandmarkSet, cfg: ShepardConfig) -> list[NodalFunction]:
     """Fit one local interpolant per landmark on its N_L nearest sources.
 
-    All N local systems are solved by one call, as one stack per precision rung.
+    All N local systems are solved by one call, as one stack per precision
+    rung, and gather their kernel blocks from one shared block where
+    _landmark_block allows it.
     """
     _validate(cfg, landmarks)
     neighbors, _ = k_nearest(landmarks.sources, landmarks.sources, cfg.n_l)
+    shared = _landmark_block(cfg.nodal_kernel, landmarks, cfg.n_l)
     try:
-        local = solve_transform(cfg.nodal_kernel, [landmarks.subset(idx) for idx in neighbors])
+        local = solve_transform(cfg.nodal_kernel, [landmarks.subset(idx) for idx in neighbors],
+                                shared=shared, index=neighbors)
     except SolveError as exc:
         raise NodalSolveError(f"nodal interpolant {exc.index}: {exc}") from exc
     return [NodalFunction(j, idx, t) for j, (idx, t) in enumerate(zip(neighbors, local))]
@@ -131,10 +151,11 @@ def _shared_values(kernel, landmarks, members, pts, dtype):
     The block pairs every such point with every landmark of the members'
     neighborhoods, in the rung's dtype.  Kernel values are elementwise, so
     the (P_j, N_L) sub-block a member gathers carries the bits of its own
-    kernel_rows.  None when the block would hold more entries than the
-    members' separate blocks together, or more than CHUNK_BYTES; within
-    CHUNK_BYTES each member's own evaluation is one chunk too, so the
-    gathered product is the one it would run.
+    eval_rows wherever both take the same (radial or product) form.  None
+    when the block would hold more entries than the members' separate
+    blocks together, or more than CHUNK_BYTES; within CHUNK_BYTES each
+    member's own evaluation is one chunk too, so the gathered product is
+    the one it would run.
     """
     if not members:
         return None
@@ -145,7 +166,7 @@ def _shared_values(kernel, landmarks, members, pts, dtype):
             or entries * dtype.itemsize > CHUNK_BYTES):
         return None
     x = pts[points].astype(dtype)
-    block = _Problem(kernel, False, landmarks.sources[cols], None).kernel_rows(x)
+    block = _Problem(kernel, False, landmarks.sources[cols], None).eval_rows(x)
 
     def values(nf, active):
         rows = np.searchsorted(points, active)
@@ -176,6 +197,23 @@ def _evaluate(cfg, landmarks, rho, nodal, pts):
     return out
 
 
+def _center_value(nf: NodalFunction, landmarks: LandmarkSet):
+    """L_j(x_j), from the nodal systems' shared landmark block where its rung took one.
+
+    The block row is the kernel_rows of the single point x_j, so the value
+    carries the bits of the interpolant's own evaluation there.
+    """
+    local = nf.interpolant
+    problem = local._problem
+    dtype = {"double": float, "longdouble": np.longdouble}.get(local.precision)
+    row = None
+    if problem.shared is not None and dtype is not None:
+        row = problem.shared.take([nf.center], problem.index, dtype)
+    if row is None:
+        return local(landmarks.sources[nf.center])
+    return local._block_values(landmarks.sources[[nf.center]].astype(dtype), row)[0]
+
+
 class ShepardTransform(Transformation):
     """Built modified-Shepard transformation (immutable, reentrant)."""
 
@@ -186,8 +224,7 @@ class ShepardTransform(Transformation):
         self.config = config
         self.nodal = nodal
         self.rho = rho
-        centers = np.array([nf.interpolant(landmarks.sources[nf.center])
-                            for nf in nodal])
+        centers = np.array([_center_value(nf, landmarks) for nf in nodal])
         self.residual = float(np.abs(centers - landmarks.targets).max())
         self.condition = max(nf.interpolant.condition for nf in nodal)
         self.ill_conditioned = any(nf.interpolant.ill_conditioned for nf in nodal)

@@ -40,9 +40,9 @@ from scipy.linalg.lapack import dgetrs
 
 from . import _precision
 from ._precision import _refined_solve
-from .kernels import (RadialKernel, Wendland1D, eval_radial, eval_univariate,
+from .kernels import (Gaussian, RadialKernel, Wendland1D, eval_radial, eval_univariate,
                       polynomial_tail_degree, support_radius)
-from .landmarks import LandmarkSet, chunk_rows, squared_distances
+from .landmarks import LandmarkSet, chunk_rows, distinct_axes, squared_distances
 from .lobachevsky import LobachevskySpline, eval_spline
 
 RESIDUAL_LIMIT = 1e-6        # relative to max(1, |t|_inf); the solve failed beyond this
@@ -105,34 +105,67 @@ def tail_dimension(dimension: int, degree) -> int:
 
 
 def _univariate_factor(kernel, delta):
+    """psi(delta) of a univariate tensor factor, or a Gaussian's factor along one axis."""
     if isinstance(kernel, Wendland1D):
         return eval_univariate(kernel, delta)
     if isinstance(kernel, LobachevskySpline):
         return eval_spline(kernel, delta)
+    if isinstance(kernel, Gaussian):
+        return eval_radial(kernel, np.abs(delta))
     raise ValueError(f"kernel {kernel!r} is not a univariate tensor factor")
 
 
-def _axis_factor(kernel, x, centers):
+def _axis_factor(kernel, x, centers, values):
     """psi(x_i - c_j) for one coordinate, (P, N), in x's dtype.
 
-    When at most half the P values are distinct (a grid axis, or the
-    coordinates of landmarks on a lattice), psi is evaluated once per
-    distinct value and the rows are gathered back; psi is elementwise, so
-    the bits are those of the direct evaluation.
+    values is the coordinate's distinct values (a grid axis, or the
+    coordinates of landmarks on a lattice), or None.  Given values, psi is
+    evaluated once per distinct value and the rows are gathered back; psi
+    is elementwise, so the bits are those of the direct evaluation.
     """
-    values = np.unique(x)
-    if 2 * len(values) > len(x):
+    if values is None:
         return _univariate_factor(kernel, x[:, None] - centers[None, :])
     rows = _univariate_factor(kernel, values[:, None] - centers[None, :])
     return rows[np.searchsorted(values, x)]
 
 
-def _tensor_matrix(kernel, x, centers):
-    """Product kernel matrix Prod_d psi(x_d - c_d), dtype-preserving."""
-    out = _axis_factor(kernel, x[:, 0], centers[:, 0])
+def _tensor_matrix(kernel, x, centers, distinct=None):
+    """Product kernel matrix Prod_d psi(x_d - c_d), dtype-preserving.
+
+    distinct is distinct_axes(x), computed here when not given.
+    """
+    distinct = distinct_axes(x) if distinct is None else distinct
+    out = _axis_factor(kernel, x[:, 0], centers[:, 0], distinct[0])
     for d in range(1, x.shape[1]):
-        out = out * _axis_factor(kernel, x[:, d], centers[:, d])
+        out = out * _axis_factor(kernel, x[:, d], centers[:, d], distinct[d])
     return out
+
+
+class SharedKernelBlock:
+    """The kernel matrix between all sources of one landmark set, built once per dtype.
+
+    Systems over subsets of the set gather their kernel blocks from it.
+    Kernel values are elementwise, so a gathered block carries the bits of
+    the subset's own kernel_rows.  Only the dtypes given take a block; each
+    is built the first time it is asked for.
+    """
+
+    def __init__(self, kernel, sources, dtypes):
+        self.kernel = kernel
+        self.sources = sources
+        self.dtypes = frozenset(np.dtype(d) for d in dtypes)
+        self._blocks = {}
+
+    def take(self, rows, cols, dtype):
+        """The (rows, cols) kernel sub-block in dtype, or None where dtype takes no block."""
+        dtype = np.dtype(dtype)
+        if dtype not in self.dtypes:
+            return None
+        block = self._blocks.get(dtype)
+        if block is None:
+            whole = _Problem(self.kernel, False, self.sources, None)
+            block = self._blocks[dtype] = whole.kernel_rows(self.sources.astype(dtype))
+        return block[np.ix_(rows, cols)]
 
 
 @dataclass(frozen=True)
@@ -143,6 +176,9 @@ class _Problem:
     tensor: bool
     sources: np.ndarray
     tail_degree: Optional[int]
+    # a block shared with other systems, and the positions of these sources in it
+    shared: Optional[SharedKernelBlock] = None
+    index: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
@@ -161,6 +197,23 @@ class _Problem:
             return _tensor_matrix(self.kernel, x, src)
         return eval_radial(self.kernel, np.sqrt(squared_distances(x, src)))
 
+    def eval_rows(self, x, cols=slice(None)):
+        """kernel_rows for evaluation: a Gaussian takes its product form where it pays.
+
+        exp(-alpha^2 |x - c|^2) = Prod_d exp(-alpha^2 (x_d - c_d)^2).  Where
+        some coordinate of x has at most P/2 distinct values (a grid, or a
+        patch of one), each axis factor is evaluated as a tensor factor, once
+        per distinct value on such an axis.  The values differ from the
+        radial form's at rounding level.  Points with no such axis keep the
+        radial form: there the product would cost one exp per axis and entry.
+        """
+        if not self.tensor and isinstance(self.kernel, Gaussian):
+            distinct = distinct_axes(x)
+            if any(values is not None for values in distinct):
+                return _tensor_matrix(self.kernel, x, self.sources[cols].astype(x.dtype),
+                                      distinct)
+        return self.kernel_rows(x, cols)
+
     def reaching(self, x):
         """The sources whose support meets the bounding box of x, as an index for kernel_rows.
 
@@ -176,7 +229,9 @@ class _Problem:
     def build(self, dtype):
         """The (N+U) x (N+U) saddle matrix [[M, Q], [Q^T, 0]] (M alone when U = 0)."""
         src = self.sources.astype(dtype)
-        m_mat = self.kernel_rows(src)
+        m_mat = None if self.shared is None else self.shared.take(self.index, self.index, dtype)
+        if m_mat is None:
+            m_mat = self.kernel_rows(src)
         u = len(self.exponents)
         if u == 0:
             return m_mat
@@ -360,7 +415,7 @@ class _SolvedTransform(Transformation):
         """float64 or 80-bit evaluation, in row chunks of CHUNK_BYTES per kernel block.
 
         With more than one chunk, each uses only the sources whose support
-        reaches its bounding box; a single chunk is one kernel_rows product.
+        reaches its bounding box; a single chunk is one eval_rows product.
         """
         problem = self._problem
         dtype = np.dtype(np.longdouble if self.precision == "longdouble" else float)
@@ -371,13 +426,13 @@ class _SolvedTransform(Transformation):
         for start in chunks:
             xc = x[start:start + step]
             cols = problem.reaching(xc) if len(chunks) > 1 else slice(None)
-            out[start:start + step] = self._block_values(xc, problem.kernel_rows(xc, cols), cols)
+            out[start:start + step] = self._block_values(xc, problem.eval_rows(xc, cols), cols)
         return out
 
     def _block_values(self, x, block, cols=slice(None)):
         """float64 values at points x, in the rung's dtype, from their kernel block.
 
-        block is kernel_rows(x, cols).  A float64 product's bits depend on its
+        block is eval_rows(x, cols).  A float64 product's bits depend on its
         row count, so a caller holding a larger kernel block gathers exactly
         these rows into a block of their own.
         """
@@ -403,14 +458,16 @@ class TensorProductTransform(_SolvedTransform):
     kind = "tensor-product"
 
 
-def solve_transform(kernel: RadialKernel, landmarks):
+def solve_transform(kernel: RadialKernel, landmarks, *, shared=None, index=None):
     """Solve the landmark interpolation system for a radial kernel.
 
     ``landmarks`` is one LandmarkSet, or a sequence of equally sized ones
     (the neighborhoods of Shepard's nodal interpolants).  The systems of a
     sequence are solved as one stack per precision rung, a list of
     transforms comes back, and a SolveError's ``index`` names the set that
-    failed.
+    failed.  With a SharedKernelBlock ``shared`` of the same kernel, set i
+    is the sources at ``index[i]`` of it, and its systems gather their
+    kernel blocks from it.
     """
     single = isinstance(landmarks, LandmarkSet)
     sets = [landmarks] if single else list(landmarks)
@@ -423,7 +480,9 @@ def solve_transform(kernel: RadialKernel, landmarks):
         raise ValueError(
             f"polynomial tail needs more landmarks: U = {u} must be < N = {n}"
         )
-    problems = [_Problem(kernel, False, lm.sources, degree) for lm in sets]
+    index = [None] * len(sets) if shared is None else index
+    problems = [_Problem(kernel, False, lm.sources, degree, shared, idx)
+                for lm, idx in zip(sets, index)]
     rhs = np.array([np.vstack([lm.targets, np.zeros((u, dim))]) for lm in sets])
     context = type(kernel).__name__
     if single:

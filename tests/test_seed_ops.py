@@ -87,3 +87,21 @@ def test_compare_reads_only_the_value_bytes_of_extended_floats(tmp_path, capsys)
     np.savez(b, **{key: one_ulp})
     assert tool.main(["compare", str(a), str(b)]) == 1
     assert f"{key}: differs" in capsys.readouterr().out
+
+
+def test_compare_reports_the_size_of_a_float_difference(tmp_path, capsys):
+    tool = load_tool()
+    grid = np.linspace(0.0, 1.0, 6).reshape(3, 2)
+    moved = grid.copy()
+    moved[2, 0] -= 2.0 ** -30
+    a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+    np.savez(a, **{"g|c|0.2|grid": grid, "g|c|0.2|rung": np.array("double"),
+                   "g|c|0.2|condition": np.array(1.0)})
+    np.savez(b, **{"g|c|0.2|grid": moved, "g|c|0.2|rung": np.array("longdouble"),
+                   "g|c|0.2|condition": np.array(1.0, dtype=np.float32)})
+    assert tool.main(["compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "g|c|0.2|grid: differs, max |a - b| 9.313e-10, max |a| 1.000e+00" in out
+    assert "g|c|0.2|rung: differs" in out
+    # equal values of another dtype: a bitwise difference of size 0
+    assert "g|c|0.2|condition: differs, max |a - b| 0.000e+00, max |a| 1.000e+00" in out

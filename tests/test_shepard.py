@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from landreg import shepard
-from landreg.bench import CaseSpec, build_method, default_grid, gen_case
+from landreg.bench import CASE_KINDS, CaseSpec, build_method, default_grid, gen_case
 from landreg.kernels import Gaussian, ThinPlateSpline
 from landreg.landmarks import LandmarkSet
 from landreg.shepard import (SNAP_RADIUS, NodalSolveError, ShepardConfig,
                              _weights_matrix, build_nodal_interpolants,
                              build_shepard_transform, nearest_landmarks,
                              node_radii)
+from landreg.transform import SharedKernelBlock, _Problem
 
 
 def square_cloud(n_side=5, lo=0.1, hi=0.9, jitter=0.0, seed=0):
@@ -316,6 +317,12 @@ def shared_blocks(monkeypatch):
     return built
 
 
+def assert_same_bits(got, want):
+    """Equal values, dtypes and sign bits, without longdouble's padding bytes."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def assert_bitwise_per_node(t, points):
     got, want = np.atleast_2d(t(points)), per_node_evaluation(t, points)
     assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -374,3 +381,79 @@ def test_nodes_that_weigh_no_point_and_tiny_inputs(shared_blocks):
     assert_bitwise_per_node(t, GRID[123])
     assert t(GRID[123]).shape == (2,)
     assert t(np.zeros((0, 2))).shape == (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# nodal assembly from one shared landmarks x landmarks block per rung
+
+
+def taken_blocks(monkeypatch):
+    """(rows, cols, dtype, taken) of every sub-block asked of a shared landmark block."""
+    taken = []
+    take = SharedKernelBlock.take
+
+    def spy(self, rows, cols, dtype):
+        block = take(self, rows, cols, dtype)
+        taken.append((len(rows), len(cols), np.dtype(dtype), block is not None))
+        return block
+
+    monkeypatch.setattr(SharedKernelBlock, "take", spy)
+    return taken
+
+
+@pytest.mark.parametrize("case", CASE_KINDS)
+@pytest.mark.parametrize("method, value", [("shep-g", 0.4), ("shep-g", 2.0), ("shep-tps", None)])
+def test_shared_nodal_block_is_bitwise_per_system_assembly(monkeypatch, case, method, value):
+    landmarks, _, _ = gen_case(CaseSpec(case))
+    taken = taken_blocks(monkeypatch)
+    t = build_method(method, landmarks, case, value)
+    n_l = len(t.nodal[0].neighbors)
+    for nf in t.nodal:
+        problem = nf.interpolant._problem
+        alone = _Problem(problem.kernel, False, problem.sources, problem.tail_degree)
+        for dtype in (np.float64, np.longdouble):
+            assert_same_bits(problem.build(np.dtype(dtype)), alone.build(np.dtype(dtype)))
+        if problem.shared is not None:
+            assert_same_bits(problem.shared.take([nf.center], nf.neighbors, float),
+                             alone.kernel_rows(landmarks.sources[[nf.center]]))
+    residual = max(np.abs(nf.interpolant(landmarks.sources[nf.center])
+                          - landmarks.targets[nf.center]).max() for nf in t.nodal)
+    assert t.residual == residual
+    shared = landmarks.n <= n_l * n_l
+    assert shared == (case != "circle-contract")            # N_L = 5 there: 60 > 25
+    assert all(got for *_, got in taken) and bool(taken) == shared
+
+
+def test_large_landmark_sets_refuse_the_shared_nodal_block(monkeypatch):
+    from landreg.landmarks import CHUNK_BYTES
+    rng = np.random.default_rng(7)
+    src = np.unique(rng.integers(0, 2000, (1100, 2)), axis=0)[:1000] / 2000.0
+    lm = LandmarkSet(src, src + 0.001 * rng.standard_normal(src.shape))
+    assert lm.n == 1000 and lm.n > 25 * 25
+    built = []
+    original = shepard._landmark_block
+
+    def spy(kernel, landmarks, n_l):
+        block = original(kernel, landmarks, n_l)
+        built.append(block)
+        return block
+
+    monkeypatch.setattr(shepard, "_landmark_block", spy)
+    taken = taken_blocks(monkeypatch)
+    t = build_shepard_transform(lm, ShepardConfig(ThinPlateSpline(), n_l=25, n_w=25))
+    assert built == [None] and taken == []
+    assert t.residual < 1e-10
+    # N = 600 <= 25^2: the float64 block fits CHUNK_BYTES, an x87 80-bit one does not
+    mid = shepard._landmark_block(Gaussian(1.0), lm.subset(np.arange(600)), 25)
+    assert mid.dtypes == {np.dtype(d) for d in (float, np.longdouble)
+                          if 600 * 600 * np.dtype(d).itemsize <= CHUNK_BYTES}
+    assert shepard._landmark_block(Gaussian(1.0), lm.subset(np.arange(600)), 24) is None
+
+
+def test_rho_must_be_a_positive_finite_real():
+    for rho in ("1", [1.0], 1 + 0j, True, np.inf, -np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="must be positive"):
+            ShepardConfig(Gaussian(1.0), 2, 2, rho=rho)
+    for rho in (0.5, 2, np.float64(0.25), np.int64(3)):
+        assert ShepardConfig(Gaussian(1.0), 2, 2, rho=rho).rho == rho
+    assert ShepardConfig(Gaussian(1.0), 2, 2).rho is None

@@ -317,3 +317,21 @@ def test_transform_rejects_non_finite_and_misshaped_points(method, value):
     for bad in ([[0.1, 0.2, 0.3]], [0.5], np.zeros((2, 2, 2)), 0.5):
         with pytest.raises(ValueError, match="shape"):
             t(bad)
+
+
+def test_subset_checks_only_its_indices(monkeypatch):
+    from landreg import landmarks as landmarks_module
+    src = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    lm = LandmarkSet(src, src + 0.1, [False, False, False, False])
+    monkeypatch.setattr(landmarks_module, "_distance_blocks", None)   # the separation check
+    sub = lm.subset(np.array([3, 0], dtype=np.int32))
+    assert np.array_equal(sub.sources, src[[3, 0]]) and np.array_equal(sub.targets, src[[3, 0]] + 0.1)
+    assert sub.quasi.shape == (2,) and not sub.quasi.any()
+    for arr in (sub.sources, sub.targets, sub.quasi):
+        assert not arr.flags.writeable
+    assert lm.subset([2]).n == 1 and lm.subset(range(4)).n == 4
+    with pytest.raises(ValueError, match=r"landmarks 1 and 3 coincide \(separation 0\.000e\+00\)"):
+        lm.subset([2, 0, 1, 0])
+    for bad in ([1.0, 2.0], [True, False], ["1"], [], [[0, 1]], [0, 4], [-1, 0]):
+        with pytest.raises(ValueError, match="subset indices"):
+            lm.subset(bad)

@@ -21,7 +21,9 @@ of its rung; a double-double one as its stacked hi and lo words), residual,
 condition estimate and rung.  A scale-dense transform records its grid
 output, landmark values, residual and condition estimate.  ``compare``
 lists every field whose bits differ, or that only one file has, and exits 1
-if there is any; it needs numpy only.  An x87 80-bit longdouble is stored
+if there is any; it needs numpy only.  For a float field of one shape in
+both files it also prints max |a - b| and max |a|, so a change meant to
+move values at rounding level can be read off the same report.  An x87 80-bit longdouble is stored
 in 12 or 16 bytes, of which only the first 10 carry the value; ``compare``
 reads those and ignores the padding, which numpy leaves as whatever was in
 memory.
@@ -146,6 +148,14 @@ def _same(a, b) -> bool:
             and _significant_bytes(a) == _significant_bytes(b))
 
 
+def _gap(a, b) -> str:
+    """max |a - b| and max |a| of two float fields of one shape, for the report."""
+    if a.dtype.kind != "f" or b.dtype.kind != "f" or a.shape != b.shape or not a.size:
+        return ""
+    diff = np.abs(a.astype(np.longdouble) - b.astype(np.longdouble)).max()
+    return f", max |a - b| {float(diff):.3e}, max |a| {float(np.abs(a).max()):.3e}"
+
+
 def compare(path_a: str, path_b: str) -> int:
     differ = 0
     with np.load(path_a) as a, np.load(path_b) as b:
@@ -154,7 +164,7 @@ def compare(path_a: str, path_b: str) -> int:
             if key not in a.files or key not in b.files:
                 print(f"{key}: only in {path_a if key in a.files else path_b}")
             elif not _same(a[key], b[key]):
-                print(f"{key}: differs")
+                print(f"{key}: differs{_gap(a[key], b[key])}")
             else:
                 continue
             differ += 1
