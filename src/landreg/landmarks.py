@@ -50,8 +50,12 @@ def distinct_axes(x):
         narrow = column.astype(float, copy=False)
         if narrow is not column and np.array_equal(narrow, column):
             column = narrow
-        values = np.unique(column)
-        out.append(None if 2 * len(values) > len(x) else values.astype(x.dtype, copy=False))
+        ordered = np.sort(column)
+        fresh = ordered[1:] != ordered[:-1]
+        if 2 * (1 + np.count_nonzero(fresh)) > len(x):
+            out.append(None)
+        else:
+            out.append(ordered[np.concatenate(([True], fresh))].astype(x.dtype, copy=False))
     return out
 
 
