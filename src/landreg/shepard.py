@@ -225,6 +225,8 @@ class ShepardTransform(Transformation):
         self.nodal = nodal
         self.rho = rho
         centers = np.array([_center_value(nf, landmarks) for nf in nodal])
+        for shared in {nf.interpolant._problem.shared for nf in nodal} - {None}:
+            shared.release()     # the transform would otherwise hold up to CHUNK_BYTES per rung
         self.residual = float(np.abs(centers - landmarks.targets).max())
         self.condition = max(nf.interpolant.condition for nf in nodal)
         self.ill_conditioned = any(nf.interpolant.ill_conditioned for nf in nodal)

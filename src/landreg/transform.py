@@ -167,6 +167,10 @@ class SharedKernelBlock:
             block = self._blocks[dtype] = whole.kernel_rows(self.sources.astype(dtype))
         return block[np.ix_(rows, cols)]
 
+    def release(self):
+        """Drop the built blocks, which the solved systems no longer need; take rebuilds them."""
+        self._blocks.clear()
+
 
 @dataclass(frozen=True)
 class _Problem:

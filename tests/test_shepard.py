@@ -422,6 +422,9 @@ def test_shared_nodal_block_is_bitwise_per_system_assembly(monkeypatch, case, me
     shared = landmarks.n <= n_l * n_l
     assert shared == (case != "circle-contract")            # N_L = 5 there: 60 > 25
     assert all(got for *_, got in taken) and bool(taken) == shared
+    if shared:          # the transform drops the blocks once it has read its centre values
+        fresh = build_method(method, landmarks, case, value)
+        assert not fresh.nodal[0].interpolant._problem.shared._blocks
 
 
 def test_large_landmark_sets_refuse_the_shared_nodal_block(monkeypatch):
