@@ -23,7 +23,7 @@ from .shepard import (NodalSolveError, ShepardConfig, ShepardTransform,
                       nearest_landmarks)
 from .transform import (GlobalRadialTransform, SolveError,
                         TensorProductTransform, Transformation,
-                        build_tensor_transform, solve_transform)
+                        solve_transform)
 
 __version__ = "0.1.0"
 
@@ -33,9 +33,9 @@ __all__ = [
     "LobachevskySpline", "NodalSolveError", "ShepardConfig",
     "ShepardTransform", "SolveError", "SweepReport", "TensorProductTransform",
     "ThinPlateSpline", "Transformation", "Wendland1D", "WendlandRadial",
-    "build_nodal_interpolants", "build_shepard_transform",
-    "build_tensor_transform", "default_grid", "eval_fn_explicit",
-    "eval_fn_recurrence", "eval_fn_star", "eval_radial", "eval_univariate",
+    "build_nodal_interpolants", "build_shepard_transform", "default_grid",
+    "eval_fn_explicit", "eval_fn_recurrence", "eval_fn_star", "eval_radial",
+    "eval_univariate",
     "gen_case", "nearest_landmarks", "polynomial_tail_degree",
     "real_life_run", "rmse", "solve_transform", "support_radius", "sweep",
 ]

@@ -297,10 +297,6 @@ class DDArray:
         ph, pl = _mul(self.hi[:, :, None], self.lo[:, :, None], bh[None], bl[None])
         return _new(*_tree_sum(ph, pl, axis=1))
 
-    def sum(self, axis):
-        """Pairwise sum along one axis."""
-        return _new(*_tree_sum(self.hi, self.lo, axis))
-
     def max(self):
         """Largest element, as a 0-d DDArray."""
         i = np.unravel_index(np.argmax(self.hi), self.shape)

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._dd import DDArray
 from .kernels import Gaussian, Wendland1D, _radial, _univariate
-from .landmarks import distinct_axes
+from .landmarks import distinct_axes, squared_distances
 from .lobachevsky import LobachevskySpline, _spline
 
 EVAL_BLOCK = 8192   # kernel entries per evaluation block: temporaries stay in cache
@@ -167,12 +167,8 @@ def _factor(kernel, delta):
 def _kernel_rows(kernel, tensor, x, centers):
     """Kernel matrix between points x (P, m) and centers (N, m), as DDArrays."""
     if tensor:
-        out = _factor(kernel, x[:, None, 0] - centers[None, :, 0])
-        for d in range(1, x.shape[1]):
-            out = out * _factor(kernel, x[:, None, d] - centers[None, :, d])
-        return out
-    diff = x[:, None, :] - centers[None, :, :]
-    return _radial(kernel, np.sqrt((diff * diff).sum(-1)))
+        return _product_rows(kernel, [None] * x.shape[1], x, centers, None)
+    return _radial(kernel, np.sqrt(squared_distances(x, centers)))
 
 
 def _monomials(x, exponents):

@@ -26,7 +26,7 @@ from .kernels import Gaussian, ThinPlateSpline, Wendland1D, WendlandRadial
 from .landmarks import LandmarkSet
 from .lobachevsky import LobachevskySpline
 from .shepard import ShepardConfig, build_shepard_transform
-from .transform import SolveError, build_tensor_transform, solve_transform
+from .transform import SolveError, solve_transform
 
 SQUARE_CASES = ("square-shift-32", "square-scale-32", "square-shift-64", "square-scale-64")
 CIRCLE_CASES = ("circle-expand", "circle-contract")
@@ -250,11 +250,20 @@ def rmse(transform, grid, reference: Optional[Callable] = None) -> float:
 # ---------------------------------------------------------------------------
 # method registry and sweeps
 
-METHOD_PARAMETERS = {
-    "g": "alpha", "tps": None, "shep-g": "alpha", "shep-tps": None,
-    "w2-2d": "c", "w4-2d": "c", "w2-1dx1d": "c", "w4-1dx1d": "c",
-    "l4": "alpha", "l6": "alpha",
+# name: (shape parameter, kernel of its value); "shep-" methods blend nodal interpolants
+METHODS = {
+    "g": ("alpha", Gaussian),
+    "tps": (None, lambda _: ThinPlateSpline()),
+    "shep-g": ("alpha", Gaussian),
+    "shep-tps": (None, lambda _: ThinPlateSpline()),
+    "w2-2d": ("c", lambda c: WendlandRadial(2, 1, c)),
+    "w4-2d": ("c", lambda c: WendlandRadial(2, 2, c)),
+    "w2-1dx1d": ("c", lambda c: Wendland1D(1, c)),
+    "w4-1dx1d": ("c", lambda c: Wendland1D(2, c)),
+    "l4": ("alpha", lambda alpha: LobachevskySpline(4, alpha=alpha)),
+    "l6": ("alpha", lambda alpha: LobachevskySpline(6, alpha=alpha)),
 }
+METHOD_PARAMETERS = {name: param for name, (param, _) in METHODS.items()}
 METHOD_NAMES = tuple(METHOD_PARAMETERS)
 
 DEFAULT_RANGES = {"alpha": (0.2, 2.0, 10), "c": (0.1, 1.0, 10)}
@@ -274,31 +283,18 @@ def shepard_locality(case_kind: Optional[str], n_landmarks: int) -> tuple[int, i
 def build_method(name: str, landmarks: LandmarkSet, case_kind: Optional[str] = None,
                  value: Optional[float] = None):
     """Build the named method's transformation on the given landmarks."""
-    if name not in METHOD_PARAMETERS:
+    if name not in METHODS:
         raise ValueError(f"unknown method {name!r}; choose from {METHOD_NAMES}")
-    param = METHOD_PARAMETERS[name]
+    param, kernel_of = METHODS[name]
     if param is not None and value is None:
         raise ValueError(f"method {name!r} needs a value for its parameter {param!r}")
     if param is None and value is not None:
         raise ValueError(f"method {name!r} takes no shape parameter")
-    if name == "g":
-        return solve_transform(Gaussian(value), landmarks)
-    if name == "tps":
-        return solve_transform(ThinPlateSpline(), landmarks)
-    if name in ("shep-g", "shep-tps"):
+    kernel = kernel_of(value)
+    if name.startswith("shep-"):
         n_l, n_w = shepard_locality(case_kind, landmarks.n)
-        nodal = Gaussian(value) if name == "shep-g" else ThinPlateSpline()
-        return build_shepard_transform(landmarks, ShepardConfig(nodal, n_l, n_w))
-    if name == "w2-2d":
-        return solve_transform(WendlandRadial(2, 1, value), landmarks)
-    if name == "w4-2d":
-        return solve_transform(WendlandRadial(2, 2, value), landmarks)
-    if name == "w2-1dx1d":
-        return build_tensor_transform(Wendland1D(1, value), landmarks)
-    if name == "w4-1dx1d":
-        return build_tensor_transform(Wendland1D(2, value), landmarks)
-    order = 4 if name == "l4" else 6
-    return build_tensor_transform(LobachevskySpline(order, alpha=value), landmarks)
+        return build_shepard_transform(landmarks, ShepardConfig(kernel, n_l, n_w))
+    return solve_transform(kernel, landmarks)
 
 
 @dataclass(frozen=True)

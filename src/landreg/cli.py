@@ -83,7 +83,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_rmse(args) -> int:
     points_a, values_a = io.parse_grid_csv(_read(args.a))
     points_b, values_b = io.parse_grid_csv(_read(args.b))
-    if points_a.shape != points_b.shape or not np.allclose(points_a, points_b, atol=1e-15):
+    if points_a.shape != points_b.shape or not np.allclose(points_a, points_b, rtol=0, atol=1e-15):
         raise ValueError("grid files do not share the same evaluation points")
     delta = values_a - values_b
     print(io._fmt(np.sqrt((delta * delta).sum(axis=1).mean())))

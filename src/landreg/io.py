@@ -16,7 +16,7 @@ from .kernels import (Gaussian, GeneralizedMultiquadric, KernelError,
 from .landmarks import LandmarkSet
 from .lobachevsky import LobachevskySpline
 from .shepard import ShepardConfig, build_shepard_transform
-from .transform import build_tensor_transform, solve_transform
+from .transform import solve_transform
 
 LANDMARK_HEADER = "sx,sy,tx,ty,quasi"
 GRID_HEADER = "x,y,fx,fy"
@@ -124,12 +124,19 @@ def parse_grid_csv(text: str):
 
 
 def infer_grid_shape(points) -> tuple[int, int]:
-    """Recover (rows, cols) from row-major lattice points (x varies fastest)."""
+    """Recover (rows, cols) from row-major lattice points (x varies fastest).
+
+    Every row must share one y and every column one x.
+    """
     points = np.asarray(points)
     ys = points[:, 1]
     changes = np.flatnonzero(ys[1:] != ys[:-1])
     cols = int(changes[0]) + 1 if len(changes) else len(points)
     if cols == 0 or len(points) % cols != 0:
+        raise ValueError("points do not form a row-major rectangular grid")
+    lattice = points.reshape(-1, cols, 2)
+    if not ((lattice[:, :, 1] == lattice[:, :1, 1]).all()
+            and (lattice[:, :, 0] == lattice[:1, :, 0]).all()):
         raise ValueError("points do not form a row-major rectangular grid")
     return len(points) // cols, cols
 
@@ -317,6 +324,4 @@ def method_from_config(text: str):
             raise
         raise ConfigError(str(exc)) from None
     _reject_extras(entries)
-    if isinstance(kernel, (Wendland1D, LobachevskySpline)):
-        return lambda landmarks: build_tensor_transform(kernel, landmarks)
     return lambda landmarks: solve_transform(kernel, landmarks)

@@ -19,17 +19,22 @@ from typing import Union
 
 import numpy as np
 
-from .lobachevsky import LobachevskySpline
+from .lobachevsky import LobachevskySpline, _is_integer, _is_real
 
 
 class KernelError(ValueError):
     """Invalid kernel configuration (unsupported family parameters)."""
 
 
+def _positive_finite(value) -> bool:
+    """A real number with 0 < value < inf."""
+    return _is_real(value) and 0 < value < np.inf
+
+
 def _positive_finite_square(value) -> bool:
-    """0 < value < inf, with a finite square: the formulas use value * value."""
+    """_positive_finite, with a finite square: the formulas use value * value."""
     try:
-        return 0 < value < np.inf and float(value) * float(value) < np.inf
+        return _positive_finite(value) and float(value) * float(value) < np.inf
     except OverflowError:        # an integer beyond the float range
         return False
 
@@ -68,7 +73,7 @@ class GeneralizedMultiquadric:
         if not _positive_finite_square(self.gamma):
             raise KernelError("multiquadric parameter gamma must be positive and finite, "
                               "and so must its square")
-        if not isinstance(self.mu, (int, np.integer)) or self.mu == 0:
+        if not _is_integer(self.mu) or self.mu == 0:
             raise KernelError("multiquadric exponent mu must be a nonzero integer")
         if self.mu > 0 and self.mu % 2 == 0:
             raise KernelError(
@@ -94,7 +99,7 @@ class WendlandRadial:
             raise KernelError("Wendland dimension m must be 1, 2 or 3")
         if self.h not in (0, 1, 2, 3):
             raise KernelError("Wendland smoothness index h must be in 0..3")
-        if not 0 < self.c < np.inf:
+        if not _positive_finite(self.c):
             raise KernelError("Wendland scale c must be positive and finite")
 
 
@@ -108,7 +113,7 @@ class Wendland1D:
     def __post_init__(self):
         if self.h not in (0, 1, 2, 3):
             raise KernelError("Wendland smoothness index h must be in 0..3")
-        if not 0 < self.c < np.inf:
+        if not _positive_finite(self.c):
             raise KernelError("Wendland scale c must be positive and finite")
 
 
@@ -196,10 +201,11 @@ def eval_univariate(kernel: Wendland1D, x):
 def polynomial_tail_degree(kernel: RadialKernel):
     """Degree of the polynomial tail required for solvability, or None.
 
-    Strictly positive definite kernels need no tail.  The thin plate spline
-    needs degree 1; the multiquadric with odd mu > 0 needs degree mu - 1.
+    Strictly positive definite kernels need no tail, and neither do the
+    tensor-product factors.  The thin plate spline needs degree 1; the
+    multiquadric with odd mu > 0 needs degree mu - 1.
     """
-    if isinstance(kernel, (Gaussian, WendlandRadial, Wendland1D)):
+    if isinstance(kernel, (Gaussian, WendlandRadial, Wendland1D, LobachevskySpline)):
         return None
     if isinstance(kernel, ThinPlateSpline):
         return 1

@@ -8,6 +8,7 @@ place and prevent an overall drift.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,8 +71,8 @@ def k_nearest(sources, points, k: int):
     stable row-wise argsort breaks ties by index and leaves the padding last.
     """
     n = len(sources)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
+    if not (isinstance(k, numbers.Integral) and not isinstance(k, bool) and 1 <= k <= n):
+        raise ValueError(f"k must be an integer in 1..{n}, got {k!r}")
     indices = np.empty((len(points), k), dtype=np.intp)
     dist2 = np.empty((len(points), k))
     step = chunk_rows(n)

@@ -16,6 +16,7 @@ on [-a, a) so that they agree pointwise at the knots.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +25,23 @@ EXPLICIT_MAX_ORDER = 20
 RECURRENCE_MAX_ORDER = 64
 
 
+def _is_real(value) -> bool:
+    """A real number of any numeric type; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    """An integer of any integer type; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_order(n, a, cap):
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not (_is_integer(n) and n >= 1):
         raise ValueError("spline order n must be an integer >= 1")
     if n > cap:
         raise ValueError(f"spline order n = {n} exceeds the stability cap {cap}")
-    if not a > 0:
-        raise ValueError("support half-width a must be positive")
+    if not (_is_real(a) and 0 < a < math.inf):
+        raise ValueError("support half-width a must be positive and finite")
 
 
 def _as_float(x):
@@ -135,12 +146,12 @@ class LobachevskySpline:
     alpha: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if not (_is_integer(self.n) and self.n >= 1):
             raise ValueError("spline order n must be an integer >= 1")
         if (self.a is None) == (self.alpha is None):
             raise ValueError("exactly one of a and alpha must be given")
         shape = self.a if self.a is not None else self.alpha
-        if not 0 < shape < math.inf:
+        if not (_is_real(shape) and 0 < shape < math.inf):
             raise ValueError("shape parameter must be positive and finite")
 
     def support(self) -> tuple[float, float]:

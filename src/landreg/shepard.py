@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import RadialKernel, polynomial_tail_degree
+from .kernels import RadialKernel, _positive_finite, polynomial_tail_degree
 from .landmarks import CHUNK_BYTES, LandmarkSet, k_nearest, squared_distances
-from .transform import (GlobalRadialTransform, SharedKernelBlock, SolveError, Transformation,
-                        _Problem, solve_transform, tail_dimension)
+from .transform import (GlobalRadialTransform, SolveError, Transformation, _Problem,
+                        solve_transform, tail_dimension)
 
 
 SNAP_RADIUS = 1e-12   # points this close to a landmark take its weight alone
@@ -53,8 +53,7 @@ class ShepardConfig:
         if self.n_l < 1 or self.n_w < 1:
             raise ValueError("neighborhood sizes n_l and n_w must be >= 1")
         rho = self.rho
-        if rho is not None and not (isinstance(rho, numbers.Real) and not isinstance(rho, bool)
-                                    and 0 < rho < np.inf):
+        if rho is not None and not _positive_finite(rho):
             raise ValueError(f"fixed hypercube side rho must be positive and finite, got {rho!r}")
 
 
@@ -73,7 +72,11 @@ def _validate(cfg: ShepardConfig, landmarks: LandmarkSet):
 
 def nearest_landmarks(landmarks: LandmarkSet, x, k: int) -> np.ndarray:
     """Indices of the k source landmarks nearest to x; ties break by index."""
-    return k_nearest(landmarks.sources, np.asarray(x, dtype=float).reshape(1, -1), k)[0][0]
+    point = np.asarray(x, dtype=float)
+    m = landmarks.dimension
+    if point.shape != (m,) or not np.isfinite(point).all():
+        raise ValueError(f"x must be a finite point of shape ({m},), got {np.shape(x)}")
+    return k_nearest(landmarks.sources, point[None], k)[0][0]
 
 
 def node_radii(landmarks: LandmarkSet, cfg: ShepardConfig) -> np.ndarray:
@@ -94,33 +97,16 @@ class NodalFunction:
     interpolant: GlobalRadialTransform
 
 
-def _landmark_block(kernel, landmarks: LandmarkSet, n_l: int) -> SharedKernelBlock | None:
-    """The landmarks x landmarks kernel block the nodal systems share, or None.
-
-    A float64 or 80-bit rung takes the block only when its N^2 entries are
-    no more than the N separate (N_L, N_L) blocks hold together, and it
-    fits CHUNK_BYTES; a refused rung, and the double-double rung, assemble
-    each system on its own.
-    """
-    n = landmarks.n
-    dtypes = [dtype for dtype in (np.dtype(float), np.dtype(np.longdouble))
-              if n <= n_l * n_l and n * n * dtype.itemsize <= CHUNK_BYTES]
-    return SharedKernelBlock(kernel, landmarks.sources, dtypes) if dtypes else None
-
-
 def build_nodal_interpolants(landmarks: LandmarkSet, cfg: ShepardConfig) -> list[NodalFunction]:
     """Fit one local interpolant per landmark on its N_L nearest sources.
 
-    All N local systems are solved by one call, as one stack per precision
-    rung, and gather their kernel blocks from one shared block where
-    _landmark_block allows it.
+    All N local systems are solved by one call to solve_transform, as one
+    stack per precision rung.
     """
     _validate(cfg, landmarks)
     neighbors, _ = k_nearest(landmarks.sources, landmarks.sources, cfg.n_l)
-    shared = _landmark_block(cfg.nodal_kernel, landmarks, cfg.n_l)
     try:
-        local = solve_transform(cfg.nodal_kernel, [landmarks.subset(idx) for idx in neighbors],
-                                shared=shared, index=neighbors)
+        local = solve_transform(cfg.nodal_kernel, landmarks, neighbors)
     except SolveError as exc:
         raise NodalSolveError(f"nodal interpolant {exc.index}: {exc}") from exc
     return [NodalFunction(j, idx, t) for j, (idx, t) in enumerate(zip(neighbors, local))]
@@ -166,7 +152,7 @@ def _shared_values(kernel, landmarks, members, pts, dtype):
             or entries * dtype.itemsize > CHUNK_BYTES):
         return None
     x = pts[points].astype(dtype)
-    block = _Problem(kernel, False, landmarks.sources[cols], None).eval_rows(x)
+    block = _Problem(kernel, landmarks.sources[cols], None).eval_rows(x)
 
     def values(nf, active):
         rows = np.searchsorted(points, active)

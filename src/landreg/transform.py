@@ -40,9 +40,9 @@ from scipy.linalg.lapack import dgetrs
 
 from . import _precision
 from ._precision import _refined_solve
-from .kernels import (Gaussian, RadialKernel, Wendland1D, eval_radial, eval_univariate,
+from .kernels import (Gaussian, Wendland1D, eval_radial, eval_univariate,
                       polynomial_tail_degree, support_radius)
-from .landmarks import LandmarkSet, chunk_rows, distinct_axes, squared_distances
+from .landmarks import CHUNK_BYTES, LandmarkSet, chunk_rows, distinct_axes, squared_distances
 from .lobachevsky import LobachevskySpline, eval_spline
 
 RESIDUAL_LIMIT = 1e-6        # relative to max(1, |t|_inf); the solve failed beyond this
@@ -163,7 +163,7 @@ class SharedKernelBlock:
             return None
         block = self._blocks.get(dtype)
         if block is None:
-            whole = _Problem(self.kernel, False, self.sources, None)
+            whole = _Problem(self.kernel, self.sources, None)
             block = self._blocks[dtype] = whole.kernel_rows(self.sources.astype(dtype))
         return block[np.ix_(rows, cols)]
 
@@ -172,12 +172,25 @@ class SharedKernelBlock:
         self._blocks.clear()
 
 
+def _landmark_block(kernel, landmarks: LandmarkSet, k: int) -> SharedKernelBlock | None:
+    """The landmarks x landmarks kernel block that systems over k of them share, or None.
+
+    A float64 or 80-bit rung takes the block only when its N^2 entries
+    are no more than the N separate (k, k) blocks hold together, and it
+    fits CHUNK_BYTES; a refused rung, and the double-double rung, assemble
+    each system on its own.
+    """
+    n = landmarks.n
+    dtypes = [dtype for dtype in (np.dtype(float), np.dtype(np.longdouble))
+              if n <= k * k and n * n * dtype.itemsize <= CHUNK_BYTES]
+    return SharedKernelBlock(kernel, landmarks.sources, dtypes) if dtypes else None
+
+
 @dataclass(frozen=True)
 class _Problem:
     """One interpolation system: kernel, geometry, optional polynomial tail."""
 
     kernel: object
-    tensor: bool
     sources: np.ndarray
     tail_degree: Optional[int]
     # a block shared with other systems, and the positions of these sources in it
@@ -187,6 +200,11 @@ class _Problem:
     @property
     def n(self) -> int:
         return len(self.sources)
+
+    @property
+    def tensor(self) -> bool:
+        """Whether the kernel is a univariate factor of a tensor product."""
+        return isinstance(self.kernel, (Wendland1D, LobachevskySpline))
 
     @property
     def exponents(self):
@@ -462,52 +480,42 @@ class TensorProductTransform(_SolvedTransform):
     kind = "tensor-product"
 
 
-def solve_transform(kernel: RadialKernel, landmarks, *, shared=None, index=None):
-    """Solve the landmark interpolation system for a radial kernel.
+def solve_transform(kernel, landmarks: LandmarkSet, neighborhoods=None):
+    """Solve the landmark interpolation system of a kernel.
 
-    ``landmarks`` is one LandmarkSet, or a sequence of equally sized ones
-    (the neighborhoods of Shepard's nodal interpolants).  The systems of a
-    sequence are solved as one stack per precision rung, a list of
-    transforms comes back, and a SolveError's ``index`` names the set that
-    failed.  With a SharedKernelBlock ``shared`` of the same kernel, set i
-    is the sources at ``index[i]`` of it, and its systems gather their
-    kernel blocks from it.
+    A radial kernel gives a GlobalRadialTransform.  A Wendland1D or an
+    even-order LobachevskySpline gives a TensorProductTransform (odd orders
+    are not strictly positive definite).  ``neighborhoods``, an (S, K)
+    integer array of indices into ``landmarks`` (Shepard's nodal
+    neighbourhoods), solves the S systems over ``landmarks.subset(row)`` as
+    one stack per precision rung: a list of S transforms comes back, and a
+    SolveError's ``index`` names the row that failed.  Where
+    _landmark_block allows it, those systems gather their kernel blocks
+    from one landmarks x landmarks block.
     """
-    single = isinstance(landmarks, LandmarkSet)
-    sets = [landmarks] if single else list(landmarks)
-    if not sets or any(lm.n != sets[0].n or lm.dimension != sets[0].dimension for lm in sets):
-        raise ValueError("stacked landmark sets must be one or more, sharing N and dimension")
+    if isinstance(kernel, LobachevskySpline) and kernel.n % 2 != 0:
+        raise ValueError("tensor-product transforms need an even spline order n")
     degree = polynomial_tail_degree(kernel)
+    if neighborhoods is None:
+        sets, index, shared = [landmarks], [None], None
+    else:
+        index = np.asarray(neighborhoods)
+        if index.ndim != 2 or not index.size:
+            raise ValueError("neighborhoods must be a non-empty (S, K) array of landmark indices")
+        sets = [landmarks.subset(row) for row in index]
+        shared = _landmark_block(kernel, landmarks, index.shape[1])
     n, dim = sets[0].n, sets[0].dimension
     u = tail_dimension(dim, degree)
     if u and u >= n:
         raise ValueError(
             f"polynomial tail needs more landmarks: U = {u} must be < N = {n}"
         )
-    index = [None] * len(sets) if shared is None else index
-    problems = [_Problem(kernel, False, lm.sources, degree, shared, idx)
-                for lm, idx in zip(sets, index)]
+    problems = [_Problem(kernel, lm.sources, degree, shared, idx) for lm, idx in zip(sets, index)]
     rhs = np.array([np.vstack([lm.targets, np.zeros((u, dim))]) for lm in sets])
-    context = type(kernel).__name__
-    if single:
-        return GlobalRadialTransform(problems[0], landmarks,
-                                     *_solve_dense(problems[0], rhs[0], context))
-    return [GlobalRadialTransform(problem, lm, *result) for problem, lm, result
+    tensor = problems[0].tensor
+    kind = TensorProductTransform if tensor else GlobalRadialTransform
+    context = type(kernel).__name__ + (" tensor" if tensor else "")
+    if neighborhoods is None:
+        return kind(problems[0], landmarks, *_solve_dense(problems[0], rhs[0], context))
+    return [kind(problem, lm, *result) for problem, lm, result
             in zip(problems, sets, _solve_stack(problems, rhs, context))]
-
-
-def build_tensor_transform(kernel, landmarks: LandmarkSet) -> TensorProductTransform:
-    """Solve a tensor-product transform from a univariate kernel.
-
-    Accepts a Wendland1D kernel or a LobachevskySpline (even order only,
-    as required for strictly positive definite transforms).
-    """
-    if isinstance(kernel, LobachevskySpline):
-        if kernel.n % 2 != 0:
-            raise ValueError("tensor-product transforms need an even spline order n")
-    elif not isinstance(kernel, Wendland1D):
-        raise ValueError(f"kernel {kernel!r} is not a univariate tensor factor")
-    problem = _Problem(kernel, True, landmarks.sources, None)
-    z, res, cond, precision = _solve_dense(
-        problem, np.array(landmarks.targets), f"{type(kernel).__name__} tensor")
-    return TensorProductTransform(problem, landmarks, z, res, cond, precision)

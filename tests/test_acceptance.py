@@ -192,14 +192,14 @@ def test_criterion_06_tensor_and_representation_equivalence():
     src = np.sort(rng.uniform(0.0, 1.0, 9))[:, None]
     lm = LandmarkSet(src, src + rng.uniform(-0.05, 0.05, src.shape))
     radial = bench.solve_transform(WendlandRadial(1, 1, 1.2), lm)
-    tensor = bench.build_tensor_transform(Wendland1D(1, 1.2), lm)
+    tensor = bench.solve_transform(Wendland1D(1, 1.2), lm)
     coef_gap = float(np.abs(radial.coef - tensor.coef).max())
 
     landmarks, _, _ = gen_case(CaseSpec("square-shift-32"))
     n, alpha = 4, 1.6
     from landreg.lobachevsky import LobachevskySpline
-    by_alpha = bench.build_tensor_transform(LobachevskySpline(n, alpha=alpha), landmarks)
-    by_a = bench.build_tensor_transform(
+    by_alpha = bench.solve_transform(LobachevskySpline(n, alpha=alpha), landmarks)
+    by_a = bench.solve_transform(
         LobachevskySpline(n, a=math.sqrt(3.0 / n) / alpha), landmarks)
     probes = rng.uniform(0.0, 1.0, (100, 2))
     rep_gap = float(np.abs(by_alpha(probes) - by_a(probes)).max())

@@ -138,6 +138,24 @@ def test_render_rejects_mismatched_grids(tmp_path, capsys):
     assert code == 1
 
 
+def test_render_rejects_points_off_the_lattice(tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("x,y,fx,fy\n0,0,0,0\n1,0,1,0\n0,1,0,1\n5,7,5,7\n")
+    out = tmp_path / "o.svg"
+    code = run("render", "--grid", str(grid), "--out", str(out))
+    assert code == 1 and "rectangular grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rmse_rejects_grids_whose_points_differ_slightly(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("x,y,fx,fy\n0.5,0.5,0.5,0.5\n1,0.5,1,0.5\n")
+    b.write_text("x,y,fx,fy\n0.500001,0.5,0.5,0.5\n1,0.5,1,0.5\n")
+    code = run("rmse", "--a", str(a), "--b", str(b))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and "same evaluation points" in captured.err
+
+
 def test_shape_parameter_with_overflowing_square_exits_1(tmp_path, capsys):
     lm = tmp_path / "lm.csv"
     assert run("gen-case", "--case", "square-shift-32", "--out", str(lm)) == 0

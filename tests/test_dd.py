@@ -11,10 +11,14 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landreg._dd import DDArray, two_prod, two_sum
+from landreg._dd import DDArray, _tree_sum, two_prod, two_sum
+from landreg._precision import _kernel_rows
+from landreg.kernels import (Gaussian, GeneralizedMultiquadric, ThinPlateSpline, WendlandRadial,
+                             _radial)
 
 REL_ARITH = 2.0 ** -100
 REL_FUNC = 1e-30
@@ -136,8 +140,19 @@ def test_tree_sum_and_matmul_match_exact_sums():
                        for k in range(13))
             scale = sum(abs(exact(a.hi[i, k], 0) * exact(b.hi[k, j], 0)) for k in range(13))
             assert abs(exact(got.hi[i, j], got.lo[i, j]) - want) <= 2.0 ** -100 * scale
-    total = a.sum(1)
-    for i in range(7):
-        want = sum(Fraction(h) for h in a.hi[i])
-        scale = sum(abs(Fraction(h)) for h in a.hi[i])
-        assert abs(exact(total.hi[i], total.lo[i]) - want) <= 2.0 ** -100 * scale
+
+
+@pytest.mark.parametrize("kernel", [Gaussian(1.3), ThinPlateSpline(), WendlandRadial(2, 1, 0.7),
+                                    GeneralizedMultiquadric(0.5, 1),
+                                    GeneralizedMultiquadric(0.5, -1)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_radial_kernel_rows_sum_the_axes_like_a_tree_sum(kernel, m):
+    """Squared distances added axis by axis carry the bits of a pairwise sum over the axes."""
+    rng = np.random.default_rng(m)
+    x = DDArray(rng.uniform(-1, 1, (9, m)), rng.uniform(-1, 1, (9, m)) * 2.0 ** -60)
+    centers = DDArray(rng.uniform(-1, 1, (7, m)))
+    diff = x[:, None, :] - centers[None, :, :]
+    diff = diff * diff
+    want = _radial(kernel, np.sqrt(DDArray(*_tree_sum(diff.hi, diff.lo, -1))))
+    got = _kernel_rows(kernel, False, x, centers)
+    assert np.array_equal(got.hi, want.hi) and np.array_equal(got.lo, want.lo)

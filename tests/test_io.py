@@ -61,6 +61,11 @@ def test_infer_grid_shape():
     assert infer_grid_shape(grid.points) == (5, 7)
     single_row = default_grid(1, 7).points
     assert infer_grid_shape(single_row) == (1, 7)
+    for bad in ([(0, 0), (1, 0), (0, 1), (5, 7)],              # a row off its y
+                [(0, 0), (1, 0), (0, 1), (2, 1)],              # a column off its x
+                [(0, 0), (1, 0), (0, 1)]):                     # no whole rows
+        with pytest.raises(ValueError, match="rectangular grid"):
+            infer_grid_shape(np.array(bad, dtype=float))
 
 
 def test_svg_polyline_count_and_determinism():

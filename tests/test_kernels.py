@@ -119,6 +119,8 @@ def test_polynomial_tail_degrees():
     assert polynomial_tail_degree(GeneralizedMultiquadric(1.0, -1)) is None
     assert polynomial_tail_degree(GeneralizedMultiquadric(1.0, -2)) is None
     assert polynomial_tail_degree(WendlandRadial(2, 1, 1.0)) is None
+    assert polynomial_tail_degree(Wendland1D(1, 1.0)) is None
+    assert polynomial_tail_degree(LobachevskySpline(4, alpha=1.0)) is None
 
 
 def test_generalized_multiquadric_values():
@@ -179,6 +181,30 @@ def test_invalid_configurations_rejected():
 def test_non_finite_shape_parameters_rejected(make, value):
     with pytest.raises(ValueError, match="positive and finite"):
         make(value)
+
+
+@pytest.mark.parametrize("make, error", [
+    (Gaussian, KernelError),
+    (lambda v: WendlandRadial(2, 1, v), KernelError),
+    (lambda v: Wendland1D(1, v), KernelError),
+    (lambda v: GeneralizedMultiquadric(v, 1), KernelError),
+    (lambda v: LobachevskySpline(4, alpha=v), ValueError),
+    (lambda v: LobachevskySpline(4, a=v), ValueError),
+])
+@pytest.mark.parametrize("value", ["1", 1 + 0j, [0.3], True, np.bool_(True)])
+def test_shape_parameters_that_are_not_real_numbers_rejected(make, error, value):
+    with pytest.raises(error, match="positive and finite"):
+        make(value)
+    make(np.float64(0.5)), make(np.int64(1)), make(1)        # real numbers of any type pass
+
+
+def test_bool_orders_and_exponents_rejected():
+    with pytest.raises(ValueError, match="order n must be an integer"):
+        LobachevskySpline(True, alpha=1.0)
+    with pytest.raises(KernelError, match="mu must be a nonzero integer"):
+        GeneralizedMultiquadric(1.0, True)
+    assert LobachevskySpline(np.int64(2), alpha=1.0).n == 2
+    assert GeneralizedMultiquadric(1.0, np.int32(-1)).mu == -1
 
 
 @pytest.mark.parametrize("make", [Gaussian, lambda v: GeneralizedMultiquadric(v, -1)])

@@ -166,6 +166,13 @@ def test_domain_and_overflow_guards():
     assert eval_fn_recurrence(21, 1.0, 0.0) > 0.0
     with pytest.raises(ValueError):
         eval_fn_recurrence(65, 1.0, 0.0)
+    for a in ("1", [1.0], 1 + 0j, True, math.inf, math.nan):   # TypeError, 1, or NaN values
+        with pytest.raises(ValueError, match="half-width a must be positive"):
+            eval_fn_recurrence(4, a, 0.3)
+        with pytest.raises(ValueError, match="half-width a must be positive"):
+            eval_fn_explicit(4, a, 0.3)
+    with pytest.raises(ValueError, match="order n must be an integer"):
+        eval_fn_star(True, 0.3)
 
 
 def test_spline_spec_and_support():

@@ -51,7 +51,7 @@ def gaussian_problems(draw):
 
 
 def radial_rows(kernel, x, centers):
-    return _Problem(kernel, False, centers, None).kernel_rows(x)
+    return _Problem(kernel, centers, None).kernel_rows(x)
 
 
 def rounding_bound(kernel, x, centers, coef, unit):
@@ -70,7 +70,7 @@ def rounding_bound(kernel, x, centers, coef, unit):
 def test_product_form_matches_the_radial_form_in_float64_and_80_bit(problem, dtype):
     kernel, x, centers, coef = problem
     xd = x.astype(dtype)
-    product = _Problem(kernel, False, centers, None).eval_rows(xd) @ coef.astype(dtype)
+    product = _Problem(kernel, centers, None).eval_rows(xd) @ coef.astype(dtype)
     radial = radial_rows(kernel, xd, centers.astype(dtype)) @ coef.astype(dtype)
     gap = np.abs(np.asarray(product - radial, dtype=float))
     assert (gap <= rounding_bound(kernel, x, centers, coef, UNIT[dtype])).all()

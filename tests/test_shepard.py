@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from landreg import shepard
+from landreg import shepard, transform
 from landreg.bench import CASE_KINDS, CaseSpec, build_method, default_grid, gen_case
 from landreg.kernels import Gaussian, ThinPlateSpline
 from landreg.landmarks import LandmarkSet
@@ -55,6 +55,18 @@ def test_nearest_landmarks_k_bounds():
         nearest_landmarks(lm, [0.5], 3)
     with pytest.raises(ValueError):
         nearest_landmarks(lm, [0.5], 0)
+
+
+def test_nearest_landmarks_rejects_bad_points_and_k():
+    lm = LandmarkSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                     [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    for x in ([0.95], [0.1, 0.2, 0.3], [[0.1, 0.2]], 0.5, [np.nan, 0.0], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="x must be a finite point of shape"):
+            nearest_landmarks(lm, x, 2)
+    for k in (2.5, 2.0, True, "2", None, 0, 5):
+        with pytest.raises(ValueError, match=r"k must be an integer in 1\.\.4"):
+            nearest_landmarks(lm, [0.9, 0.1], k)
+    assert list(nearest_landmarks(lm, (0.9, 0.1), np.int64(2))) == [1, 0]
 
 
 def test_config_validation():
@@ -410,7 +422,7 @@ def test_shared_nodal_block_is_bitwise_per_system_assembly(monkeypatch, case, me
     n_l = len(t.nodal[0].neighbors)
     for nf in t.nodal:
         problem = nf.interpolant._problem
-        alone = _Problem(problem.kernel, False, problem.sources, problem.tail_degree)
+        alone = _Problem(problem.kernel, problem.sources, problem.tail_degree)
         for dtype in (np.float64, np.longdouble):
             assert_same_bits(problem.build(np.dtype(dtype)), alone.build(np.dtype(dtype)))
         if problem.shared is not None:
@@ -434,23 +446,23 @@ def test_large_landmark_sets_refuse_the_shared_nodal_block(monkeypatch):
     lm = LandmarkSet(src, src + 0.001 * rng.standard_normal(src.shape))
     assert lm.n == 1000 and lm.n > 25 * 25
     built = []
-    original = shepard._landmark_block
+    original = transform._landmark_block
 
     def spy(kernel, landmarks, n_l):
         block = original(kernel, landmarks, n_l)
         built.append(block)
         return block
 
-    monkeypatch.setattr(shepard, "_landmark_block", spy)
+    monkeypatch.setattr(transform, "_landmark_block", spy)
     taken = taken_blocks(monkeypatch)
     t = build_shepard_transform(lm, ShepardConfig(ThinPlateSpline(), n_l=25, n_w=25))
     assert built == [None] and taken == []
     assert t.residual < 1e-10
     # N = 600 <= 25^2: the float64 block fits CHUNK_BYTES, an x87 80-bit one does not
-    mid = shepard._landmark_block(Gaussian(1.0), lm.subset(np.arange(600)), 25)
+    mid = transform._landmark_block(Gaussian(1.0), lm.subset(np.arange(600)), 25)
     assert mid.dtypes == {np.dtype(d) for d in (float, np.longdouble)
                           if 600 * 600 * np.dtype(d).itemsize <= CHUNK_BYTES}
-    assert shepard._landmark_block(Gaussian(1.0), lm.subset(np.arange(600)), 24) is None
+    assert transform._landmark_block(Gaussian(1.0), lm.subset(np.arange(600)), 24) is None
 
 
 def test_rho_must_be_a_positive_finite_real():

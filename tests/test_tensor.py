@@ -92,7 +92,7 @@ def tensor_problems(draw):
 @given(tensor_problems())
 def test_kernel_rows_match_the_entrywise_product(problem):
     kernel, x, sources, cols, dtype = problem
-    rows = _Problem(kernel, True, sources, None).kernel_rows(x.astype(dtype), cols)
+    rows = _Problem(kernel, sources, None).kernel_rows(x.astype(dtype), cols)
     want = direct_tensor_matrix(kernel, x.astype(dtype), sources[cols].astype(dtype))
     assert_same_bits(rows, want)
 

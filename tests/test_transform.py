@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landreg.bench import CaseSpec, build_method, gen_case
 from landreg.kernels import (Gaussian, ThinPlateSpline, Wendland1D,
                              WendlandRadial, polynomial_tail_degree)
 from landreg.landmarks import LandmarkSet
 from landreg.lobachevsky import LobachevskySpline
-from landreg.transform import (SolveError, _Problem, build_tensor_transform,
+from landreg.transform import (SolveError, TensorProductTransform, _Problem,
                                monomial_exponents, monomial_matrix,
                                solve_transform)
 
@@ -21,7 +23,7 @@ def grid_landmarks(n_side=4, lo=0.1, hi=0.9):
 
 def saddle_matrix(kernel, landmarks):
     """The float64 system a radial solve factors: [[M, Q], [Q^T, 0]], or M."""
-    problem = _Problem(kernel, False, landmarks.sources, polynomial_tail_degree(kernel))
+    problem = _Problem(kernel, landmarks.sources, polynomial_tail_degree(kernel))
     return problem.build(float)
 
 
@@ -185,7 +187,9 @@ def test_tensor_m1_matches_radial_m1():
     tgt = src + rng.uniform(-0.1, 0.1, src.shape)
     lm = LandmarkSet(src, tgt)
     radial = solve_transform(WendlandRadial(1, 1, 1.5), lm)
-    tensor = build_tensor_transform(Wendland1D(1, 1.5), lm)
+    tensor = solve_transform(Wendland1D(1, 1.5), lm)
+    assert isinstance(tensor, TensorProductTransform) and tensor.kind == "tensor-product"
+    assert radial.kind == "global-radial"
     assert np.abs(radial.coef - tensor.coef).max() < 1e-12
     xs = rng.uniform(-0.2, 1.2, (50, 1))
     assert np.allclose(radial(xs), tensor(xs), atol=1e-12)
@@ -199,8 +203,8 @@ def test_lobachevsky_parameterizations_agree():
     tgt = src + rng.uniform(-0.05, 0.05, src.shape)
     lm = LandmarkSet(src, tgt)
     n, alpha = 4, 1.3
-    by_alpha = build_tensor_transform(LobachevskySpline(n, alpha=alpha), lm)
-    by_a = build_tensor_transform(
+    by_alpha = solve_transform(LobachevskySpline(n, alpha=alpha), lm)
+    by_a = solve_transform(
         LobachevskySpline(n, a=math.sqrt(3.0 / n) / alpha), lm)
     probes = rng.uniform(0, 1, (100, 2))
     assert np.abs(by_alpha(probes) - by_a(probes)).max() < 1e-8
@@ -212,7 +216,7 @@ def test_tensor_identity_targets():
     src = grid_landmarks()
     lm = LandmarkSet(src, src)
     for kernel in (Wendland1D(1, 0.8), LobachevskySpline(4, alpha=1.0)):
-        t = build_tensor_transform(kernel, lm)
+        t = solve_transform(kernel, lm)
         assert np.abs(t(src) - src).max() < 1e-10
 
 
@@ -233,8 +237,7 @@ def test_shifted_problem_interpolates_shifted_targets():
     src = grid_landmarks()
     tgt = src + rng.uniform(-0.05, 0.05, src.shape)
     shift = np.array([0.3, -0.4])
-    t = build_tensor_transform(Wendland1D(1, 0.8),
-                               LandmarkSet(src + shift, tgt + shift))
+    t = solve_transform(Wendland1D(1, 0.8), LandmarkSet(src + shift, tgt + shift))
     assert np.abs(t(src + shift) - (tgt + shift)).max() < 1e-9
 
 
@@ -242,7 +245,7 @@ def test_odd_lobachevsky_order_rejected():
     src = grid_landmarks()
     lm = LandmarkSet(src, src)
     with pytest.raises(ValueError):
-        build_tensor_transform(LobachevskySpline(3, alpha=1.0), lm)
+        solve_transform(LobachevskySpline(3, alpha=1.0), lm)
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +287,73 @@ def test_tail_larger_than_landmark_count_rejected():
         solve_transform(ThinPlateSpline(), lm)  # U = 3 needs N > 3
 
 
-def test_stacked_landmark_sets_must_be_nonempty_and_alike():
+def test_neighborhoods_must_be_a_nonempty_index_array():
     src = grid_landmarks()
     lm = LandmarkSet(src, src + 0.02)
-    with pytest.raises(ValueError, match="one or more"):
-        solve_transform(Gaussian(1.0), [])
-    with pytest.raises(ValueError, match="sharing N"):
-        solve_transform(Gaussian(1.0), [lm, lm.subset(np.arange(len(src) - 1))])
-    stacked = solve_transform(Gaussian(1.0), [lm, lm])
+    for bad in ([], [[]], np.zeros((0, 3), dtype=int), [0, 1, 2], np.zeros((2, 2, 2), dtype=int)):
+        with pytest.raises(ValueError, match="non-empty"):
+            solve_transform(Gaussian(1.0), lm, bad)
+    for bad in ([[0, 1.5]], [[0, 16]], [[-1, 0]], [[True, False]]):
+        with pytest.raises(ValueError, match="subset indices"):
+            solve_transform(Gaussian(1.0), lm, bad)
+    with pytest.raises(ValueError, match="coincide"):
+        solve_transform(Gaussian(1.0), lm, [[0, 1, 0]])
+    with pytest.raises(ValueError, match="polynomial tail"):
+        solve_transform(ThinPlateSpline(), lm, [[0, 1, 2], [3, 4, 5]])
+    with pytest.raises(ValueError, match="even spline order"):
+        solve_transform(LobachevskySpline(3, alpha=1.0), lm, [[0, 1, 2]])
+    stacked = solve_transform(Gaussian(1.0), lm, [np.arange(16), np.arange(16)[::-1]])
     assert len(stacked) == 2 and all(t.residual <= 1e-10 for t in stacked)
+    assert all(t.kind == "global-radial" for t in stacked)
+    tensor = solve_transform(Wendland1D(1, 0.8), lm, [[0, 5, 10], [3, 4, 7]])
+    assert all(isinstance(t, TensorProductTransform) for t in tensor)
+    assert np.array_equal(tensor[1].landmarks.sources, src[[3, 4, 7]])
+
+
+@st.composite
+def neighborhood_problems(draw):
+    """A kernel, a 1-3-D landmark set on a 1/32 lattice, and (S, K) neighbourhood rows."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m + 2, 14 if m > 1 else 12))
+    cells = draw(st.lists(st.tuples(*[st.integers(0, 32)] * m), min_size=n, max_size=n,
+                          unique=True))
+    src = np.array(cells, dtype=float) / 32.0
+    shift = np.array(draw(st.lists(st.floats(-0.05, 0.05), min_size=n * m, max_size=n * m)))
+    kernel = draw(st.sampled_from([Gaussian(0.5), Gaussian(3.0), ThinPlateSpline(),
+                                   WendlandRadial(2, 1, 1.5), Wendland1D(2, 2.0)]))
+    k = draw(st.integers(m + 2 if kernel == ThinPlateSpline() else 1, n))
+    rows = draw(st.lists(st.permutations(range(n)).map(lambda p: p[:k]), min_size=1, max_size=4))
+    return kernel, LandmarkSet(src, src + shift.reshape(n, m)), np.array(rows)
+
+
+def solution_bits(t):
+    z = t._z
+    return (z.hi, z.lo) if t.precision == "mp" else (z,)
+
+
+@settings(max_examples=100, deadline=None)
+@given(neighborhood_problems())
+def test_each_neighborhood_solves_as_its_own_subset(problem):
+    """A stacked solve gives every row the bits of solving its subset alone."""
+    kernel, lm, rows = problem
+    alone = []
+    for i, row in enumerate(rows):
+        try:
+            alone.append(solve_transform(kernel, lm.subset(row)))
+        except SolveError:
+            with pytest.raises(SolveError) as caught:
+                solve_transform(kernel, lm, rows)
+            assert caught.value.index == i
+            return
+    stacked = solve_transform(kernel, lm, rows)
+    assert len(stacked) == len(rows)
+    for t, want, row in zip(stacked, alone, rows):
+        assert type(t) is type(want) and t.precision == want.precision
+        assert t.residual == want.residual and t.condition == want.condition
+        for got_bits, want_bits in zip(solution_bits(t), solution_bits(want)):
+            assert got_bits.dtype == want_bits.dtype and np.array_equal(got_bits, want_bits)
+        assert np.array_equal(t.landmarks.sources, lm.sources[row])
+        assert np.array_equal(t.landmarks.targets, lm.targets[row])
 
 
 def test_interpolation_residual_recorded():
