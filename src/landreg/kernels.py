@@ -81,6 +81,13 @@ class GeneralizedMultiquadric:
             )
 
 
+def _check_wendland(h, c):
+    if not (_is_integer(h) and 0 <= h <= 3):
+        raise KernelError("Wendland smoothness index h must be an integer in 0..3")
+    if not _positive_finite(c):
+        raise KernelError("Wendland scale c must be positive and finite")
+
+
 @dataclass(frozen=True)
 class WendlandRadial:
     """Compactly supported Wendland kernel, zero for c*r >= 1.
@@ -95,12 +102,9 @@ class WendlandRadial:
     c: float
 
     def __post_init__(self):
-        if self.m not in (1, 2, 3):
-            raise KernelError("Wendland dimension m must be 1, 2 or 3")
-        if self.h not in (0, 1, 2, 3):
-            raise KernelError("Wendland smoothness index h must be in 0..3")
-        if not _positive_finite(self.c):
-            raise KernelError("Wendland scale c must be positive and finite")
+        if not (_is_integer(self.m) and 1 <= self.m <= 3):
+            raise KernelError("Wendland dimension m must be an integer 1, 2 or 3")
+        _check_wendland(self.h, self.c)
 
 
 @dataclass(frozen=True)
@@ -111,10 +115,7 @@ class Wendland1D:
     c: float
 
     def __post_init__(self):
-        if self.h not in (0, 1, 2, 3):
-            raise KernelError("Wendland smoothness index h must be in 0..3")
-        if not _positive_finite(self.c):
-            raise KernelError("Wendland scale c must be positive and finite")
+        _check_wendland(self.h, self.c)
 
 
 RadialKernel = Union[Gaussian, ThinPlateSpline, GeneralizedMultiquadric, WendlandRadial]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import RadialKernel, _positive_finite, polynomial_tail_degree
-from .landmarks import CHUNK_BYTES, LandmarkSet, k_nearest, squared_distances
+from .landmarks import CHUNK_BYTES, LandmarkSet, k_nearest
 from .transform import (GlobalRadialTransform, SolveError, Transformation, _Problem,
                         solve_transform, tail_dimension)
 
@@ -112,21 +112,21 @@ def build_nodal_interpolants(landmarks: LandmarkSet, cfg: ShepardConfig) -> list
     return [NodalFunction(j, idx, t) for j, (idx, t) in enumerate(zip(neighbors, local))]
 
 
-def _weights_matrix(landmarks: LandmarkSet, cfg: ShepardConfig, rho, pts) -> np.ndarray:
-    """Normalized weights Wbar for a batch of points, shape (P, N)."""
-    src = landmarks.sources
-    near, d2 = k_nearest(src, pts, cfg.n_w)
-    tau = np.abs(pts[:, None, :] - src[near]).max(-1) <= rho[near] / 2.0
+def _weights_matrix(landmarks: LandmarkSet, cfg: ShepardConfig, rho, pts, near, d2) -> np.ndarray:
+    """Normalized weights Wbar for a batch of points, shape (P, N_W), aligned with near.
+
+    near and d2 are k_nearest(landmarks.sources, pts, cfg.n_w): entry [p, s]
+    is the weight of landmark near[p, s] at point p.  A point within
+    SNAP_RADIUS of its nearest landmark gives all its weight to it (slot 0).
+    """
+    tau = np.abs(pts[:, None, :] - landmarks.sources[near]).max(-1) <= rho[near] / 2.0
     tau[~tau.any(axis=1)] = True     # outside every cube: the N_W-nearest rule alone
-    wbar = np.zeros((len(pts), landmarks.n))
     with np.errstate(divide="ignore", invalid="ignore"):
-        wbar[np.arange(len(pts))[:, None], near] = np.where(tau, 1.0 / d2, 0.0)
+        wbar = np.where(tau, 1.0 / d2, 0.0)
         wbar /= wbar.sum(axis=1)[:, None]
-    snapped = np.flatnonzero(d2[:, 0] < SNAP_RADIUS ** 2)
-    if len(snapped):
-        hit = np.argmax(squared_distances(pts[snapped], src) < SNAP_RADIUS ** 2, axis=1)
-        wbar[snapped] = 0.0
-        wbar[snapped, hit] = 1.0
+    snapped = d2[:, 0] < SNAP_RADIUS ** 2
+    wbar[snapped] = 0.0
+    wbar[snapped, 0] = 1.0
     return wbar
 
 
@@ -163,23 +163,25 @@ def _shared_values(kernel, landmarks, members, pts, dtype):
 
 def _evaluate(cfg, landmarks, rho, nodal, pts):
     """F = sum_j L_j Wbar_j at pts; the float64 or 80-bit L_j of a rung may share a kernel block."""
-    wbar = _weights_matrix(landmarks, cfg, rho, pts)
+    near, d2 = k_nearest(landmarks.sources, pts, cfg.n_w)
+    wbar = _weights_matrix(landmarks, cfg, rho, pts, near, d2)
     out = np.zeros((pts.shape[0], landmarks.dimension))
     # the points each landmark weighs, grouped by landmark, ascending within a group
-    rows, nodes = np.nonzero(wbar)
-    order = np.argsort(nodes, kind="stable")
-    rows, nodes = rows[order], nodes[order]
+    terms = np.flatnonzero(wbar)
+    terms = terms[np.argsort(near.ravel()[terms], kind="stable")]
+    rows, nodes, weights = terms // cfg.n_w, near.ravel()[terms], wbar.ravel()[terms]
     bounds = np.searchsorted(nodes, np.arange(landmarks.n + 1))
-    members = [(nf, rows[bounds[nf.center]:bounds[nf.center + 1]]) for nf in nodal]
-    members = [(nf, active) for nf, active in members if len(active)]
+    groups = [(nf, slice(bounds[nf.center], bounds[nf.center + 1])) for nf in nodal]
+    groups = [(nf, group) for nf, group in groups if group.start < group.stop]
     shared = {}
     for precision, dtype in (("double", float), ("longdouble", np.longdouble)):
-        rung = [(nf, active) for nf, active in members if nf.interpolant.precision == precision]
+        rung = [(nf, rows[group]) for nf, group in groups if nf.interpolant.precision == precision]
         shared[precision] = _shared_values(cfg.nodal_kernel, landmarks, rung, pts, np.dtype(dtype))
-    for nf, active in members:
+    for nf, group in groups:
+        active = rows[group]
         from_block = shared.get(nf.interpolant.precision)
         values = from_block(nf, active) if from_block else nf.interpolant(pts[active])
-        out[active] += wbar[active, nf.center, None] * values
+        out[active] += weights[group, None] * values
     return out
 
 

@@ -19,6 +19,7 @@ from landreg.landmarks import LandmarkSet
 from landreg.lobachevsky import eval_fn_explicit, eval_fn_recurrence, eval_fn_star
 from landreg.shepard import ShepardConfig, build_shepard_transform, node_radii
 from landreg.transform import solve_transform
+from weights import scattered_weights
 
 ALL_CASES = bench.SQUARE_CASES + bench.CIRCLE_CASES + ("real-life",)
 
@@ -136,15 +137,14 @@ def test_criterion_03_wendland_suite():
 def test_criterion_04_shepard_suite():
     landmarks, _, _ = gen_case(CaseSpec("square-shift-32"))
     cfg = ShepardConfig(bench.ThinPlateSpline(), 25, 25)
-    from landreg.shepard import _weights_matrix
     rho = node_radii(landmarks, cfg)
     rng = np.random.RandomState(7)
     pts = rng.uniform(0.0, 1.0, (10 ** 4, 2))
-    weights = _weights_matrix(landmarks, cfg, rho, pts)
+    weights = scattered_weights(landmarks, cfg, rho, pts)
     partition = float(np.abs(weights.sum(axis=1) - 1.0).max())
     nonneg = bool((weights >= 0.0).all())
 
-    at_landmarks = _weights_matrix(landmarks, cfg, rho, landmarks.sources)
+    at_landmarks = scattered_weights(landmarks, cfg, rho, landmarks.sources)
     cardinal = bool(np.array_equal(at_landmarks, np.eye(landmarks.n)))
 
     # locality: perturbing a far landmark's target leaves F(x) bit-identical

@@ -13,7 +13,7 @@ import numpy as np
 import landreg
 from landreg.kernels import ThinPlateSpline
 from landreg.landmarks import LandmarkSet
-from landreg.shepard import ShepardConfig, build_shepard_transform
+from landreg.shepard import ShepardConfig, build_shepard_transform, node_radii
 from landreg.transform import solve_transform
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -81,4 +81,11 @@ def test_traced_shepard_weights_detail_resolves():
         tracer.restore()
     details = [span[5] for span in tracer.spans if span[0] == "shepard.weights"]
     assert details and details[-1][1] == len(probes)
-    assert 0 < tracer.layer_metrics(1)["shepard.active_terms"] <= cfg.n_w
+    # the terms each probe blends: its n_w nearest inside their own cubes, or all n_w if none is
+    d2 = ((probes[:, None, :] - src[None, :, :]) ** 2).sum(-1)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :cfg.n_w]
+    rho = node_radii(landmarks, cfg)
+    in_cube = (np.abs(probes[:, None, :] - src[nearest]).max(-1) <= rho[nearest] / 2.0).sum(1)
+    terms = np.where(in_cube > 0, in_cube, cfg.n_w)
+    assert terms.min() < cfg.n_w
+    assert tracer.layer_metrics(1)["shepard.active_terms"] == terms.sum() / len(probes)

@@ -207,6 +207,18 @@ def test_bool_orders_and_exponents_rejected():
     assert GeneralizedMultiquadric(1.0, np.int32(-1)).mu == -1
 
 
+@pytest.mark.parametrize("make", [
+    lambda v: WendlandRadial(v, 1, 0.5),
+    lambda v: WendlandRadial(2, v, 0.5),
+    lambda v: Wendland1D(v, 0.5),
+])
+@pytest.mark.parametrize("value", [True, np.bool_(True), 1.0, np.float64(2.0), "1", [1]])
+def test_wendland_indices_that_are_not_integers_rejected(make, value):
+    with pytest.raises(KernelError, match="must be an integer"):
+        make(value)
+    make(1), make(np.int64(2)), make(np.int32(1))          # integers of any type pass
+
+
 @pytest.mark.parametrize("make", [Gaussian, lambda v: GeneralizedMultiquadric(v, -1)])
 def test_shape_parameters_whose_square_overflows_rejected(make):
     with pytest.raises(KernelError, match="positive and finite"):

@@ -14,11 +14,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from landreg.bench import CASE_KINDS, CaseSpec, build_method, default_grid, gen_case
-from landreg.kernels import Gaussian, Wendland1D, WendlandRadial
+from landreg.kernels import Gaussian, ThinPlateSpline, Wendland1D, WendlandRadial
 from landreg.landmarks import MIN_SEPARATION, LandmarkSet, chunk_rows, k_nearest
-from landreg.shepard import (SNAP_RADIUS, ShepardConfig, _weights_matrix,
+from landreg.shepard import (SNAP_RADIUS, ShepardConfig, build_shepard_transform,
                              nearest_landmarks, node_radii)
 from landreg.transform import monomial_matrix, solve_transform
+from weights import scattered_weights
 
 # ---------------------------------------------------------------------------
 # dense oracles
@@ -46,12 +47,12 @@ def dense_weights(src, n_w, rho, pts):
     tau[uncovered] = among_nearest[uncovered]
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = np.where(tau, 1.0 / d2, 0.0)
-        wbar = weights / weights.sum(axis=1)[:, None]
+        # normalized over the row's N_W nearest, summed in (d2, index) order
+        wbar = weights / np.take_along_axis(weights, order[:, :n_w], axis=1).sum(axis=1)[:, None]
     snapped = d2.min(axis=1) < SNAP_RADIUS ** 2
     if snapped.any():
-        hit = np.argmax(d2[snapped] < SNAP_RADIUS ** 2, axis=1)
         wbar[snapped] = 0.0
-        wbar[np.flatnonzero(snapped), hit] = 1.0
+        wbar[np.flatnonzero(snapped), order[snapped, 0]] = 1.0    # the nearest landmark
     return wbar
 
 
@@ -79,7 +80,7 @@ def assert_queries_match(landmarks, pts, k):
     rho = node_radii(landmarks, cfg)
     assert np.array_equal(rho, dense_node_radii(src, k))
     for radii in (rho, np.full(landmarks.n, 1e-9)):   # the second leaves most points uncovered
-        assert np.array_equal(_weights_matrix(landmarks, cfg, radii, pts),
+        assert np.array_equal(scattered_weights(landmarks, cfg, radii, pts),
                               dense_weights(src, k, radii, pts))
 
 
@@ -143,9 +144,9 @@ def test_weights_match_dense_oracle_within_snap_radius(seed, m):
     pts = np.vstack([near, src, rng.uniform(0.0, 1.0, (5, m))])
     for k in (1, 3, landmarks.n):
         assert_queries_match(landmarks, pts, k)
-        wbar = _weights_matrix(landmarks, ShepardConfig(Gaussian(1.0), 1, k),
-                               node_radii(landmarks, ShepardConfig(Gaussian(1.0), 1, k)),
-                               pts[:2 * landmarks.n])
+        wbar = scattered_weights(landmarks, ShepardConfig(Gaussian(1.0), 1, k),
+                                 node_radii(landmarks, ShepardConfig(Gaussian(1.0), 1, k)),
+                                 pts[:2 * landmarks.n])
         assert np.array_equal(wbar, np.vstack([np.eye(landmarks.n)] * 2))
 
 
@@ -245,17 +246,35 @@ def test_single_chunk_evaluation_is_bitwise_one_block(method, value):
     assert np.array_equal(transform(grid.points), np.asarray(expected, dtype=float))
 
 
-def test_dense_wendland_evaluation_memory_is_bounded():
+def dense_lattice():
+    """1000 landmarks of a jittered 32 x 32 lattice, as the scale-dense benchmark has."""
     landmarks = jittered_lattice(32, seed=6)
-    landmarks = landmarks.subset(np.sort(np.random.default_rng(7).choice(landmarks.n, 1000,
-                                                                         replace=False)))
-    transform = solve_transform(WendlandRadial(2, 1, np.sqrt(np.pi * 1000 / 30)), landmarks)
-    grid = default_grid(141, 141).points
+    return landmarks.subset(np.sort(np.random.default_rng(7).choice(landmarks.n, 1000,
+                                                                    replace=False)))
+
+
+def traced_peak(evaluate):
+    """(result, tracemalloc peak in bytes) of one call."""
     tracemalloc.start()
     try:
-        values = transform(grid)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = evaluate()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_dense_wendland_evaluation_memory_is_bounded():
+    landmarks = dense_lattice()
+    transform = solve_transform(WendlandRadial(2, 1, np.sqrt(np.pi * 1000 / 30)), landmarks)
+    values, peak = traced_peak(lambda: transform(default_grid(141, 141).points))
     assert np.isfinite(values).all()
     assert peak < 32 * 2 ** 20
+
+
+def test_dense_shepard_evaluation_holds_no_points_by_landmarks_array():
+    landmarks = dense_lattice()
+    transform = build_shepard_transform(landmarks, ShepardConfig(ThinPlateSpline(), 25, 25))
+    grid = default_grid(141, 141).points
+    values, peak = traced_peak(lambda: transform(grid))
+    assert np.isfinite(values).all()
+    assert peak < len(grid) * landmarks.n * 8 / 2     # half a dense (P, N) float64 array

@@ -6,10 +6,10 @@ from landreg.bench import CASE_KINDS, CaseSpec, build_method, default_grid, gen_
 from landreg.kernels import Gaussian, ThinPlateSpline
 from landreg.landmarks import LandmarkSet
 from landreg.shepard import (SNAP_RADIUS, NodalSolveError, ShepardConfig,
-                             _weights_matrix, build_nodal_interpolants,
-                             build_shepard_transform, nearest_landmarks,
-                             node_radii)
+                             build_nodal_interpolants, build_shepard_transform,
+                             nearest_landmarks, node_radii)
 from landreg.transform import SharedKernelBlock, _Problem
+from weights import scattered_weights
 
 
 def square_cloud(n_side=5, lo=0.1, hi=0.9, jitter=0.0, seed=0):
@@ -32,7 +32,7 @@ TPS_CFG = ShepardConfig(ThinPlateSpline(), n_l=10, n_w=8)
 def shepard_weights(lm, cfg, x):
     """Partition-of-unity weight vector Wbar(x) of length N at one point x."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    return _weights_matrix(lm, cfg, node_radii(lm, cfg), pts)[0]
+    return scattered_weights(lm, cfg, node_radii(lm, cfg), pts)[0]
 
 
 def test_nearest_landmarks_basics():
@@ -151,6 +151,21 @@ def test_points_within_snap_radius_take_the_landmark_target():
     assert (shepard_weights(lm, cfg, outside) > 0).sum() > 1
 
 
+def test_snapped_point_takes_the_weight_of_its_nearest_landmark():
+    # landmarks 0 and 1 are 1.5e-12 apart, so the probe is within SNAP_RADIUS
+    # of both; it is nearer landmark 1, and that one takes all its weight
+    src = np.vstack([[[0.5, 0.5], [0.5 + 1.5e-12, 0.5]], square_cloud(2, 0.0, 1.0)])
+    lm = LandmarkSet(src, displaced(src))
+    probe = np.array([0.5 + 0.9e-12, 0.5])
+    d = np.sqrt(((src[:2] - probe) ** 2).sum(1))
+    assert d[1] < d[0] < SNAP_RADIUS
+    cfg = ShepardConfig(Gaussian(1.0), n_l=1, n_w=4)
+    expected = np.zeros(lm.n)
+    expected[1] = 1.0
+    assert np.array_equal(shepard_weights(lm, cfg, probe), expected)
+    assert np.array_equal(build_shepard_transform(lm, cfg)(probe), lm.targets[1])
+
+
 def test_weights_partition_of_unity_and_nonnegative():
     src = square_cloud(5, jitter=0.02, seed=4)
     lm = LandmarkSet(src, src)
@@ -213,8 +228,8 @@ def test_locality_perturbation_is_bit_exact():
     tgt_perturbed[j] += rng.uniform(0.01, 0.05, 2)
     perturbed = build_shepard_transform(LandmarkSet(src, tgt_perturbed), cfg)
 
-    w = _weights_matrix(LandmarkSet(src, tgt), cfg,
-                        node_radii(LandmarkSet(src, tgt), cfg), x[None])[0]
+    w = scattered_weights(LandmarkSet(src, tgt), cfg,
+                          node_radii(LandmarkSet(src, tgt), cfg), x[None])[0]
     assert w[j] == 0.0
     assert np.array_equal(base(x), perturbed(x))
 
@@ -304,7 +319,7 @@ def test_node_radii_rules():
 def per_node_evaluation(t, points):
     """Shepard evaluation with one interpolant call per node: the reference for shared blocks."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    wbar = _weights_matrix(t.landmarks, t.config, t.rho, pts)
+    wbar = scattered_weights(t.landmarks, t.config, t.rho, pts)
     out = np.zeros((len(pts), t.landmarks.dimension))
     for nf in t.nodal:
         active = np.flatnonzero(wbar[:, nf.center])
@@ -386,7 +401,7 @@ def test_nodes_that_weigh_no_point_and_tiny_inputs(shared_blocks):
     t = build_shepard_transform(LandmarkSet(src, displaced(src)),
                                 ShepardConfig(Gaussian(1.2), n_l=16, n_w=12))
     corner = GRID[(GRID < 0.3).all(1)]
-    wbar = _weights_matrix(t.landmarks, t.config, t.rho, corner)
+    wbar = scattered_weights(t.landmarks, t.config, t.rho, corner)
     idle = [nf for nf in t.nodal if not wbar[:, nf.center].any()]
     assert idle and {nf.interpolant.precision for nf in idle} == {"double", "longdouble"}
     assert_bitwise_per_node(t, corner)

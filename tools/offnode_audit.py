@@ -101,18 +101,20 @@ def oracle(method, case, alpha, transform, landmarks, points, dps, cache):
     if method == "g":
         return _mp(_cached(cache, f"g|{case}|{alpha}|{dps}", lambda: gaussian_oracle(
             alpha, landmarks.sources, landmarks.targets, points, dps)))
+    from landreg.landmarks import k_nearest
     from landreg.shepard import _weights_matrix
-    wbar = _weights_matrix(landmarks, transform.config, transform.rho, points)
+    near, d2 = k_nearest(landmarks.sources, points, transform.config.n_w)
+    wbar = _weights_matrix(landmarks, transform.config, transform.rho, points, near, d2)
     out = [[mp.mpf(0)] * landmarks.dimension for _ in points]
     for nf in transform.nodal:
-        active = np.flatnonzero(wbar[:, nf.center])
+        active, slots = np.nonzero((near == nf.center) & (wbar != 0.0))
         if not len(active):
             continue
         idx = nf.neighbors
         node = _mp(_cached(cache, f"shep-g|{case}|{alpha}|{dps}|{nf.center}", lambda: (
             gaussian_oracle(alpha, landmarks.sources[idx], landmarks.targets[idx], points, dps))))
-        for k in active:
-            w = mp.mpf(float(wbar[k, nf.center]))
+        for k, slot in zip(active, slots):
+            w = mp.mpf(float(wbar[k, slot]))
             out[k] = [acc + w * v for acc, v in zip(out[k], node[k])]
     return out
 
