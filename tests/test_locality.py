@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import landreg.landmarks
 from landreg.bench import CASE_KINDS, CaseSpec, build_method, default_grid, gen_case
 from landreg.kernels import Gaussian, ThinPlateSpline, Wendland1D, WendlandRadial
 from landreg.landmarks import MIN_SEPARATION, LandmarkSet, chunk_rows, k_nearest
@@ -162,9 +163,79 @@ def test_k_nearest_spans_several_chunks():
     rng = np.random.default_rng(3)
     src = rng.uniform(0.0, 1.0, (700, 2))
     pts = rng.uniform(0.0, 1.0, (3 * chunk_rows(len(src)) + 5, 2))
-    indices, _ = k_nearest(src, pts, 9)
+    indices, dist2 = k_nearest(src, pts, 9)
     d2 = ((pts[:, None, :] - src[None, :, :]) ** 2).sum(-1)
-    assert np.array_equal(indices, np.argsort(d2, axis=1, kind="stable")[:, :9])
+    order = np.argsort(d2, axis=1, kind="stable")[:, :9]
+    assert np.array_equal(indices, order)
+    assert np.array_equal(dist2, np.take_along_axis(d2, order, axis=1))
+
+
+def query_in_chunks(sources, points, k, rows):
+    """k_nearest with CHUNK_BYTES shrunk to `rows` rows of the sources, so more points are tiled."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(landreg.landmarks, "CHUNK_BYTES", rows * len(sources) * 8)
+        assert chunk_rows(len(sources)) == rows
+        return k_nearest(sources, points, k)
+
+
+@st.composite
+def tiled_queries(draw):
+    """(landmarks, probes, k, rows): a geometry or lattice, its probes laid out
+    as drawn, partly far outside the sources' hull, repeated, on one line
+    (axis-parallel or not) or all one point, to be queried in chunks of rows."""
+    landmarks, pts, k = draw(st.one_of(geometries(), lattices()))
+    m = landmarks.dimension
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    layout = draw(st.sampled_from(["drawn", "far", "repeated", "line", "point"]))
+    if layout == "far":
+        scale = 10.0 ** draw(st.integers(1, 8))
+        pts = np.vstack([pts, scale * rng.uniform(-1.0, 1.0, pts.shape)])
+    elif layout == "repeated":
+        pts = pts[rng.integers(0, len(pts), 3 * len(pts))]
+    elif layout == "line":
+        axis = np.eye(m)[rng.integers(m)] if draw(st.booleans()) else rng.normal(size=m)
+        pts = pts[0] + rng.uniform(-2.0, 2.0, (len(pts), 1)) * axis
+    elif layout == "point":
+        pts = np.repeat(pts[:1], len(pts), axis=0)
+    rows = draw(st.integers(1, max(1, len(pts) - 1)))
+    return landmarks, pts, k, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiled_queries())
+def test_tiled_k_nearest_is_bitwise_the_one_chunk_query(case):
+    landmarks, pts, k, rows = case
+    src = landmarks.sources
+    assert len(pts) <= chunk_rows(len(src))
+    indices, dist2 = query_in_chunks(src, pts, k, rows)
+    expected, expected_d2 = k_nearest(src, pts, k)
+    assert np.array_equal(indices, expected)
+    assert np.array_equal(dist2, expected_d2)
+    for row, x in enumerate(pts):
+        assert np.array_equal(indices[row], dense_nearest(src, x, k))
+        assert np.array_equal(dist2[row], ((src[indices[row]] - x) ** 2).sum(1))
+
+
+def test_k_nearest_of_no_points():
+    src = np.random.default_rng(8).uniform(0.0, 1.0, (30, 2))
+    for k in (1, 7, 30):
+        for indices, dist2 in (k_nearest(src, np.zeros((0, 2)), k),
+                               query_in_chunks(src, np.zeros((0, 2)), k, 1)):
+            assert indices.shape == dist2.shape == (0, k)
+
+
+def test_k_nearest_rejects_points_that_are_not_finite_rows_of_the_sources_dimension():
+    src = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    many = np.random.default_rng(10).uniform(0.0, 1.0, (40, 2))
+    many[17, 1] = np.nan
+    for points in ([[np.nan, 0.5]], [[0.5, np.inf]], many):
+        with pytest.raises(ValueError, match="points must be finite"):
+            k_nearest(src, points, 3)
+        with pytest.raises(ValueError, match="points must be finite"):
+            query_in_chunks(src, points, 3, 1)
+    for points in ([[0.5, 0.5, 0.5]], [0.5, 0.5], np.zeros((2, 2, 1)), [["a", "b"]]):
+        with pytest.raises(ValueError, match=r"points must be a \(P, 2\) array of numbers"):
+            k_nearest(src, points, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -278,3 +349,24 @@ def test_dense_shepard_evaluation_holds_no_points_by_landmarks_array():
     values, peak = traced_peak(lambda: transform(grid))
     assert np.isfinite(values).all()
     assert peak < len(grid) * landmarks.n * 8 / 2     # half a dense (P, N) float64 array
+
+
+def test_tiled_k_nearest_measures_a_fraction_of_all_pairs(monkeypatch):
+    src = dense_lattice().sources
+    pts = default_grid(141, 141).points
+    entries = []
+    measure = landreg.landmarks.squared_distances
+
+    def counted(points, sources):
+        entries.append(len(points) * len(sources))
+        return measure(points, sources)
+
+    monkeypatch.setattr(landreg.landmarks, "squared_distances", counted)
+    indices, dist2 = k_nearest(src, pts, 25)
+    assert len(entries) > 1
+    assert sum(entries) <= 0.25 * len(pts) * len(src)
+    sample = np.sort(np.random.default_rng(11).choice(len(pts), 400, replace=False))
+    assert len(sample) <= chunk_rows(len(src))
+    expected, expected_d2 = k_nearest(src, pts[sample], 25)
+    assert np.array_equal(indices[sample], expected)
+    assert np.array_equal(dist2[sample], expected_d2)
