@@ -42,22 +42,19 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _sweep_csv(report: bench.SweepReport) -> str:
-    lines = ["method,case,parameter,value,rmse,condition,optimal,reported_value,reported_rmse"]
+def _sweep_rows(report: bench.SweepReport):
     for value, err, cond in zip(report.values, report.rmses, report.conditions):
         optimal = value == report.optimal_value if report.parameter else True
-        lines.append(",".join([
-            report.method,
-            report.case_kind,
-            report.parameter or "",
-            io._fmt(value),
-            io._fmt(err),
-            io._fmt(cond),
-            "1" if optimal and err is not None else "0",
-            io._fmt(report.reported_value) if optimal else "",
-            io._fmt(report.reported_rmse) if optimal else "",
-        ]))
-    return "\n".join(lines) + "\n"
+        reported = (report.reported_value, report.reported_rmse) if optimal else (None, None)
+        yield (report.method, report.case_kind, report.parameter or "",
+               *map(io._fmt, (value, err, cond)),
+               "1" if optimal and err is not None else "0",
+               *map(io._fmt, reported))
+
+
+def _sweep_csv(report: bench.SweepReport) -> str:
+    return io._csv("method,case,parameter,value,rmse,condition,optimal,reported_value,reported_rmse",
+                   _sweep_rows(report))
 
 
 def _cmd_sweep(args) -> int:
@@ -100,13 +97,9 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_real_life(args) -> int:
-    lines = ["method,parameter,value,rmse,reported_rmse"]
-    for row in bench.real_life_run():
-        lines.append(",".join([
-            row.method, row.parameter or "", io._fmt(row.value),
-            io._fmt(row.rmse), io._fmt(row.reported_rmse),
-        ]))
-    _write(args.out, "\n".join(lines) + "\n")
+    rows = ((row.method, row.parameter or "", *map(io._fmt, (row.value, row.rmse, row.reported_rmse)))
+            for row in bench.real_life_run())
+    _write(args.out, io._csv("method,parameter,value,rmse,reported_rmse", rows))
     return 0
 
 

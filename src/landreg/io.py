@@ -1,18 +1,24 @@
 """Serialization: landmark CSV, grid CSV, config files, SVG grid renders.
 
-All emitters are deterministic (identical inputs give byte-identical text)
-and locale independent.  Floats are written with 17 significant digits in
-CSV, which round-trips doubles losslessly, and with 3 decimals in SVG,
-which is display-only.
+Both CSV formats go through one reader, ``_rows``, which checks the header
+and each row's field count, and one writer, ``_csv``, which also emits
+``regcli``'s sweep and real-life reports.  All emitters are deterministic
+(identical inputs give byte-identical text) and locale independent.
+Floats are written with 17 significant digits in CSV, which round-trips
+doubles losslessly, and with 3 decimals in SVG, which is display-only.
+Config files name their kernel from one table, ``_KERNELS``.
 """
 
 from __future__ import annotations
 
+import math
+from functools import partial
+
 import numpy as np
 
 from .bench import EvaluationGrid
-from .kernels import (Gaussian, GeneralizedMultiquadric, KernelError,
-                      ThinPlateSpline, Wendland1D, WendlandRadial)
+from .kernels import (Gaussian, GeneralizedMultiquadric, ThinPlateSpline,
+                      Wendland1D, WendlandRadial)
 from .landmarks import LandmarkSet
 from .lobachevsky import LobachevskySpline
 from .shepard import ShepardConfig, build_shepard_transform
@@ -36,12 +42,36 @@ def _fmt(x) -> str:
     return "" if x is None else format(float(x), ".17g")
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row of formatted fields."""
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
+
+
+def _formatted(*arrays) -> list[str]:
+    """The 17-digit text of each value of the arrays side by side, row by row."""
+    return [format(v, ".17g") for v in np.hstack(arrays).ravel().tolist()]
+
+
+def _rows(text: str, header: str, width: int):
+    """Yield (line number, fields) of each non-blank row after the header line."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != header:
+        raise ParseError(f"line 1: expected header {header!r}")
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != width:
+            raise ParseError(f"line {lineno}: expected {width} fields, got {len(fields)}")
+        yield lineno, fields
+
+
 def _parse_float(token: str, lineno: int) -> float:
     try:
         value = float(token)
     except ValueError:
         raise ParseError(f"line {lineno}: {token!r} is not a number") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ParseError(f"line {lineno}: non-finite coordinate {token!r}")
     return value
 
@@ -53,24 +83,15 @@ def write_landmarks(landmarks: LandmarkSet) -> str:
     """Landmark set as `sx,sy,tx,ty,quasi` CSV text (2D only)."""
     if landmarks.dimension != 2:
         raise ValueError("landmark CSV files are 2D only")
-    lines = [LANDMARK_HEADER]
-    for (sx, sy), (tx, ty), q in zip(landmarks.sources, landmarks.targets, landmarks.quasi):
-        lines.append(f"{_fmt(sx)},{_fmt(sy)},{_fmt(tx)},{_fmt(ty)},{1 if q else 0}")
-    return "\n".join(lines) + "\n"
+    coords = iter(_formatted(landmarks.sources, landmarks.targets))
+    flags = ("1" if q else "0" for q in landmarks.quasi.tolist())
+    return _csv(LANDMARK_HEADER, zip(coords, coords, coords, coords, flags))
 
 
 def parse_landmarks(text: str) -> LandmarkSet:
     """Parse landmark CSV; quasi rows must satisfy source == target."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != LANDMARK_HEADER:
-        raise ParseError(f"line 1: expected header {LANDMARK_HEADER!r}")
-    sources, targets, quasi = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise ParseError(f"line {lineno}: expected 5 fields, got {len(fields)}")
+    coords, quasi = [], []
+    for lineno, fields in _rows(text, LANDMARK_HEADER, 5):
         sx, sy, tx, ty = (_parse_float(f, lineno) for f in fields[:4])
         flag = fields[4].strip()
         if flag not in ("0", "1"):
@@ -80,12 +101,12 @@ def parse_landmarks(text: str) -> LandmarkSet:
             raise ParseError(f"line {lineno}: quasi-landmark must have source == target")
         if is_quasi:
             tx, ty = sx, sy
-        sources.append((sx, sy))
-        targets.append((tx, ty))
+        coords += (sx, sy, tx, ty)
         quasi.append(is_quasi)
-    if not sources:
+    if not quasi:
         raise ParseError("no landmark rows found")
-    return LandmarkSet(np.array(sources), np.array(targets), np.array(quasi))
+    coords = np.array(coords).reshape(-1, 2, 2)
+    return LandmarkSet(coords[:, 0].copy(), coords[:, 1].copy(), np.array(quasi))
 
 
 # ---------------------------------------------------------------------------
@@ -97,30 +118,19 @@ def write_grid_csv(points, values) -> str:
     values = np.atleast_2d(np.asarray(values, float))
     if points.shape != values.shape or points.shape[1] != 2:
         raise ValueError("points and values must both have shape (P, 2)")
-    lines = [GRID_HEADER]
-    for (x, y), (fx, fy) in zip(points, values):
-        lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(fx)},{_fmt(fy)}")
-    return "\n".join(lines) + "\n"
+    fields = iter(_formatted(points, values))
+    return _csv(GRID_HEADER, zip(fields, fields, fields, fields))
 
 
 def parse_grid_csv(text: str):
     """Parse `x,y,fx,fy` text back into (points, values) arrays."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != GRID_HEADER:
-        raise ParseError(f"line 1: expected header {GRID_HEADER!r}")
-    points, values = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise ParseError(f"line {lineno}: expected 4 fields, got {len(fields)}")
-        x, y, fx, fy = (_parse_float(f, lineno) for f in fields)
-        points.append((x, y))
-        values.append((fx, fy))
-    if not points:
+    flat = []
+    for lineno, fields in _rows(text, GRID_HEADER, 4):
+        flat += (_parse_float(f, lineno) for f in fields)
+    if not flat:
         raise ParseError("no grid rows found")
-    return np.array(points), np.array(values)
+    table = np.array(flat).reshape(-1, 2, 2)
+    return table[:, 0].copy(), table[:, 1].copy()
 
 
 def infer_grid_shape(points) -> tuple[int, int]:
@@ -147,10 +157,6 @@ def infer_grid_shape(points) -> tuple[int, int]:
 SVG_SCALE = 1000.0
 
 
-def _svg_coord(v: float) -> str:
-    return format(v * SVG_SCALE, ".3f")
-
-
 def render_grid_svg(original: EvaluationGrid, deformed, landmarks: LandmarkSet | None = None) -> str:
     """Deformed grid as an SVG document: one polyline per row and column.
 
@@ -164,26 +170,24 @@ def render_grid_svg(original: EvaluationGrid, deformed, landmarks: LandmarkSet |
         raise ValueError(
             f"deformed grid has {pts.shape} points, expected ({rows * cols}, 2)"
         )
-    grid = pts.reshape(rows, cols, 2)
+    coords = iter([format(v, ".3f") for v in (pts * SVG_SCALE).ravel().tolist()])
+    pairs = [f"{x},{y}" for x, y in zip(coords, coords)]
+
+    def polyline(strand):
+        return f'<polyline fill="none" stroke="black" stroke-width="1" points="{" ".join(strand)}"/>'
+
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         'viewBox="0 0 1000 1000">',
     ]
-    def polyline(points_xy):
-        coords = " ".join(f"{_svg_coord(x)},{_svg_coord(y)}" for x, y in points_xy)
-        lines.append(f'<polyline fill="none" stroke="black" stroke-width="1" '
-                     f'points="{coords}"/>')
-    for i in range(rows):
-        polyline(grid[i])
-    for j in range(cols):
-        polyline(grid[:, j])
+    lines += (polyline(pairs[i * cols:(i + 1) * cols]) for i in range(rows))
+    lines += (polyline(pairs[j::cols]) for j in range(cols))
     if landmarks is not None:
-        for x, y in landmarks.sources:
-            lines.append(f'<circle cx="{_svg_coord(x)}" cy="{_svg_coord(y)}" r="5" '
+        for x, y in (landmarks.sources * SVG_SCALE).tolist():
+            lines.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="5" '
                          f'fill="none" stroke="blue" stroke-width="1.5"/>')
-        for x, y in landmarks.targets:
-            cx, cy = x * SVG_SCALE, y * SVG_SCALE
+        for cx, cy in (landmarks.targets * SVG_SCALE).tolist():
             lines.append(f'<path stroke="red" stroke-width="1.5" '
                          f'd="M {cx - 5:.3f} {cy:.3f} L {cx + 5:.3f} {cy:.3f} '
                          f'M {cx:.3f} {cy - 5:.3f} L {cx:.3f} {cy + 5:.3f}"/>')
@@ -194,14 +198,18 @@ def render_grid_svg(original: EvaluationGrid, deformed, landmarks: LandmarkSet |
 # ---------------------------------------------------------------------------
 # method configuration files
 
-_KERNEL_KEYS = {
-    "gaussian": {"alpha"},
-    "tps": set(),
-    "gmq": {"gamma", "mu"},
-    "wendland1d": {"h", "c"},
-    "wendland2d": {"h", "c"},
-    "lobachevsky": {"n", "alpha", "a"},
+# config name -> (constructor, its (key, type) pairs in reading order); a
+# tuple of keys takes exactly one of them
+_KERNELS = {
+    "gaussian": (Gaussian, (("alpha", float),)),
+    "tps": (ThinPlateSpline, ()),
+    "gmq": (GeneralizedMultiquadric, (("gamma", float), ("mu", int))),
+    "wendland1d": (Wendland1D, (("h", int), ("c", float))),
+    "wendland2d": (partial(WendlandRadial, 2), (("h", int), ("c", float))),
+    "lobachevsky": (LobachevskySpline, (("n", int), (("alpha", "a"), float))),
 }
+_NODAL_KERNELS = ("tps", "gaussian")
+_TYPE_NAMES = {float: "a number", int: "an integer"}
 
 
 def parse_config(text: str) -> dict:
@@ -223,22 +231,40 @@ def parse_config(text: str) -> dict:
     return entries
 
 
-def _take_float(entries: dict, key: str) -> float:
+def _take(entries: dict, key: str, kind: type):
+    """Pop entries[key] as a float or an int."""
     try:
-        return float(entries.pop(key))
+        raw = entries.pop(key)
     except KeyError:
         raise ConfigError(f"missing required key {key!r}") from None
-    except ValueError:
-        raise ConfigError(f"key {key!r} must be a number") from None
-
-
-def _take_int(entries: dict, key: str) -> int:
     try:
-        return int(entries.pop(key))
-    except KeyError:
-        raise ConfigError(f"missing required key {key!r}") from None
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"key {key!r} must be an integer") from None
+        raise ConfigError(f"key {key!r} must be {_TYPE_NAMES[kind]}") from None
+
+
+def _kernel(name: str, entries: dict):
+    """Build the _KERNELS entry `name` from its keys, popped from entries."""
+    constructor, keys = _KERNELS[name]
+    args = {}
+    for key, kind in keys:
+        if isinstance(key, tuple):
+            given = [k for k in key if k in entries]
+            if len(given) > 1:
+                raise ConfigError(f"give either {key[0]!r} or {key[1]!r} for {name}, not both")
+            if not given:
+                raise ConfigError(f"{name} kernel needs {key[0]!r} or {key[1]!r}")
+            key = given[0]
+        args[key] = _take(entries, key, kind)
+    return _construct(constructor, **args)
+
+
+def _construct(constructor, *args, **kwargs):
+    """constructor(*args, **kwargs), its ValueError (KernelError included) a ConfigError."""
+    try:
+        return constructor(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _reject_extras(entries: dict):
@@ -267,14 +293,11 @@ def method_from_config(text: str):
         if nodal_name is None:
             raise ConfigError("shepard method needs 'nodal_kernel = tps|gaussian'")
         nodal_name = nodal_name.lower()
-        if nodal_name == "tps":
-            nodal = ThinPlateSpline()
-        elif nodal_name == "gaussian":
-            nodal = Gaussian(_take_float(entries, "alpha"))
-        else:
+        if nodal_name not in _NODAL_KERNELS:
             raise ConfigError(f"unsupported nodal kernel {nodal_name!r}")
-        n_l = _take_int(entries, "n_l")
-        n_w = _take_int(entries, "n_w")
+        nodal = _kernel(nodal_name, entries)
+        n_l = _take(entries, "n_l", int)
+        n_w = _take(entries, "n_w", int)
         rho_raw = entries.pop("rho", "auto")
         if rho_raw.lower() == "auto":
             rho = None
@@ -284,10 +307,7 @@ def method_from_config(text: str):
             except ValueError:
                 raise ConfigError("key 'rho' must be 'auto' or a number") from None
         _reject_extras(entries)
-        try:
-            cfg = ShepardConfig(nodal, n_l, n_w, rho)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        cfg = _construct(ShepardConfig, nodal, n_l, n_w, rho)
         return lambda landmarks: build_shepard_transform(landmarks, cfg)
     if method != "global":
         raise ConfigError(f"unsupported method {method!r}; use global or shepard")
@@ -295,33 +315,8 @@ def method_from_config(text: str):
     if name is None:
         raise ConfigError("missing required key 'kernel'")
     name = name.lower()
-    if name not in _KERNEL_KEYS:
-        raise ConfigError(f"unsupported kernel {name!r}; choose from {sorted(_KERNEL_KEYS)}")
-    try:
-        if name == "gaussian":
-            kernel = Gaussian(_take_float(entries, "alpha"))
-        elif name == "tps":
-            kernel = ThinPlateSpline()
-        elif name == "gmq":
-            kernel = GeneralizedMultiquadric(_take_float(entries, "gamma"),
-                                             _take_int(entries, "mu"))
-        elif name == "wendland2d":
-            kernel = WendlandRadial(2, _take_int(entries, "h"), _take_float(entries, "c"))
-        elif name == "wendland1d":
-            kernel = Wendland1D(_take_int(entries, "h"), _take_float(entries, "c"))
-        else:
-            n = _take_int(entries, "n")
-            if "alpha" in entries and "a" in entries:
-                raise ConfigError("give either 'alpha' or 'a' for lobachevsky, not both")
-            if "alpha" in entries:
-                kernel = LobachevskySpline(n, alpha=_take_float(entries, "alpha"))
-            elif "a" in entries:
-                kernel = LobachevskySpline(n, a=_take_float(entries, "a"))
-            else:
-                raise ConfigError("lobachevsky kernel needs 'alpha' or 'a'")
-    except (KernelError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from None
+    if name not in _KERNELS:
+        raise ConfigError(f"unsupported kernel {name!r}; choose from {sorted(_KERNELS)}")
+    kernel = _kernel(name, entries)
     _reject_extras(entries)
     return lambda landmarks: solve_transform(kernel, landmarks)

@@ -119,7 +119,10 @@ def _weights_matrix(landmarks: LandmarkSet, cfg: ShepardConfig, rho, pts, near, 
     is the weight of landmark near[p, s] at point p.  A point within
     SNAP_RADIUS of its nearest landmark gives all its weight to it (slot 0).
     """
-    tau = np.abs(pts[:, None, :] - landmarks.sources[near]).max(-1) <= rho[near] / 2.0
+    gap = np.abs(pts[:, None, 0] - landmarks.sources[near, 0])     # Chebyshev distance, axis by axis
+    for axis in range(1, pts.shape[1]):
+        np.maximum(gap, np.abs(pts[:, None, axis] - landmarks.sources[near, axis]), out=gap)
+    tau = gap <= rho[near] / 2.0
     tau[~tau.any(axis=1)] = True     # outside every cube: the N_W-nearest rule alone
     with np.errstate(divide="ignore", invalid="ignore"):
         wbar = np.where(tau, 1.0 / d2, 0.0)

@@ -1,9 +1,14 @@
 import csv
+import tempfile
+from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landreg import bench
 from landreg.cli import cli_main
+from test_io import config_texts
 
 
 def run(*argv):
@@ -193,3 +198,49 @@ def test_non_finite_kernel_parameters_exit_1(tmp_path, capsys):
         assert code == 1, text
         assert "positive and finite" in err and "Traceback" not in err
         assert not grid.exists()
+
+
+def landmark_rows(rows):
+    lines = ["sx,sy,tx,ty,quasi"]
+    lines += [f"{sx},{sy},{sx if q else tx},{sy if q else ty},{int(q)}" for sx, sy, tx, ty, q in rows]
+    return "\n".join(lines) + "\n"
+
+
+def grid_rows(shape_and_values):
+    (rows, cols), values = shape_and_values
+    points = bench.default_grid(rows, cols).points
+    lines = ["x,y,fx,fy"] + [f"{x},{y},{x + dx},{y + dy}" for (x, y), (dx, dy)
+                             in zip(points.tolist(), values[:len(points)] * len(points))]
+    return "\n".join(lines) + "\n"
+
+
+UNIT = st.floats(0.0, 1.0)
+JUNK = st.text(alphabet="0123456789.,-e \nxyfsqtuai", max_size=40)
+LANDMARK_TEXTS = st.one_of(
+    st.lists(st.tuples(UNIT, UNIT, UNIT, UNIT, st.booleans()), min_size=1, max_size=6).map(landmark_rows),
+    JUNK)
+GRID_TEXTS = st.one_of(
+    st.tuples(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+              st.lists(st.tuples(UNIT, UNIT), min_size=1, max_size=3)).map(grid_rows),
+    JUNK)
+# moderate parameters: each solve stays a small, quick one
+SMALL_NUMBERS = st.sampled_from(["auto", "nan", "inf", "frog", "-1", "0", "1", "2", "3", "4",
+                                 "0.5", "1.6", "1e300", "1e-300"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(LANDMARK_TEXTS, config_texts(SMALL_NUMBERS), GRID_TEXTS)
+def test_cli_exits_0_1_or_2_on_any_input_files(landmarks, config, grid):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = {name: str(Path(tmp) / name) for name in ("lm.csv", "k.cfg", "grid.csv", "out")}
+        Path(path["lm.csv"]).write_text(landmarks)
+        Path(path["k.cfg"]).write_text(config)
+        Path(path["grid.csv"]).write_text(grid)
+        codes = [
+            run("solve", "--landmarks", path["lm.csv"], "--config", path["k.cfg"],
+                "--grid-out", path["out"]),
+            run("render", "--grid", path["grid.csv"], "--landmarks", path["lm.csv"],
+                "--out", path["out"]),
+            run("rmse", "--a", path["grid.csv"], "--b", path["grid.csv"]),
+        ]
+    assert set(codes) <= {0, 1, 2}, codes

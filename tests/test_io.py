@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from landreg.bench import CaseSpec, default_grid, gen_case
 from landreg.io import (ConfigError, ParseError, infer_grid_shape,
@@ -137,13 +139,113 @@ def test_method_from_config_rejects_bad_input():
         "method = shepard\nnodal_kernel = tps\nn_l = 5\nn_w = 5\nrho = wide\n",
         "method = teleport\nkernel = tps\n",
         "kernel = gmq\ngamma = 1.0\nmu = 2\n",          # even positive exponent
+        "kernel = gaussian\nalpha = -1\n",
     ]
+    nodal = "method = shepard\nnodal_kernel = gaussian\nn_l = 5\nn_w = 5\nalpha = "
+    bad += [nodal + alpha for alpha in ("-1", "nan", "inf")]
     for text in bad:
-        with pytest.raises((ConfigError, ParseError)):
+        with pytest.raises(ConfigError):
             method_from_config(text)
+    # a bad nodal parameter reads like the same bad global one
+    messages = []
+    for text in ("kernel = gaussian\nalpha = -1\n", nodal + "-1"):
+        with pytest.raises(ConfigError) as info:
+            method_from_config(text)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_write_landmarks_requires_2d():
     lm = LandmarkSet([[0.0], [1.0]], [[0.0], [1.0]])
     with pytest.raises(ValueError):
         write_landmarks(lm)
+
+
+# Finite doubles, with the edges of the format always in reach: signed zeros,
+# subnormals and magnitudes whose squares overflow.
+DOUBLES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                     1e300, -1e300, 1.7976931348623157e308]))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(DOUBLES, DOUBLES, DOUBLES, DOUBLES, st.booleans()),
+                min_size=1, max_size=6))
+def test_landmark_csv_round_trips_every_finite_double(rows):
+    rows = np.array(rows, dtype=object)
+    quasi = rows[:, 4].astype(bool)
+    sources = rows[:, :2].astype(float)
+    targets = np.where(quasi[:, None], sources, rows[:, 2:4].astype(float))
+    try:
+        landmarks = LandmarkSet(sources, targets, quasi)
+    except ValueError:
+        assume(False)       # coincident sources
+    text = write_landmarks(landmarks)
+    parsed = parse_landmarks(text)
+    for name in ("sources", "targets", "quasi"):
+        assert same_bits(getattr(parsed, name), getattr(landmarks, name)), name
+    assert write_landmarks(parsed) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(DOUBLES, DOUBLES, DOUBLES, DOUBLES), min_size=1, max_size=8))
+def test_grid_csv_round_trips_every_finite_double(rows):
+    table = np.array(rows, dtype=float)
+    points, values = table[:, :2].copy(), table[:, 2:].copy()
+    text = write_grid_csv(points, values)
+    back_points, back_values = parse_grid_csv(text)
+    assert same_bits(back_points, points) and same_bits(back_values, values)
+    assert write_grid_csv(back_points, back_values) == text
+
+
+CONFIG_NAMES = {
+    "method": ["global", "shepard", "teleport"],
+    "kernel": ["gaussian", "tps", "gmq", "wendland1d", "wendland2d", "lobachevsky", "spline"],
+    "nodal_kernel": ["tps", "gaussian", "gmq"],
+}
+CONFIG_NUMBERS = st.one_of(
+    st.sampled_from(["auto", "nan", "inf", "-inf", "frog", "1e3", "1e300", "1e-300", "0.5",
+                     "1.6", "-0.5", "10000000000000000000000"]),
+    st.integers(-3, 25).map(str), st.floats().map(repr))
+CONFIG_KEYS = ["method", "kernel", "nodal_kernel", "alpha", "gamma", "mu", "h", "c", "n", "a",
+               "n_l", "n_w", "rho", "bogus"]
+
+
+CONFIG_TEMPLATES = [
+    "kernel = gaussian\nalpha = {}\n",
+    "kernel = tps\n",
+    "kernel = gmq\ngamma = {}\nmu = {}\n",
+    "kernel = wendland2d\nh = {}\nc = {}\n",
+    "kernel = wendland1d\nh = {}\nc = {}\n",
+    "kernel = lobachevsky\nn = {}\nalpha = {}\n",
+    "kernel = lobachevsky\nn = {}\na = {}\n",
+    "method = shepard\nnodal_kernel = tps\nn_l = {}\nn_w = {}\nrho = {}\n",
+    "method = shepard\nnodal_kernel = gaussian\nalpha = {}\nn_l = {}\nn_w = {}\n",
+]
+
+
+def config_texts(numbers=CONFIG_NUMBERS):
+    """`key = value` texts: a valid config's keys with any values, or any of the grammar's keys."""
+    filled = st.sampled_from(CONFIG_TEMPLATES).flatmap(
+        lambda template: st.lists(numbers, min_size=template.count("{}"),
+                                  max_size=template.count("{}")).map(lambda v: template.format(*v)))
+    values = {key: st.sampled_from(CONFIG_NAMES[key]) if key in CONFIG_NAMES else numbers
+              for key in CONFIG_KEYS}
+    lines = st.fixed_dictionaries({}, optional=values).map(
+        lambda entries: [f"{key} = {value}" for key, value in entries.items()])
+    raw = st.lists(st.text(alphabet="ab=# \t", max_size=8), max_size=1)
+    return st.one_of(filled, st.builds(lambda lines, raw: "\n".join(lines + raw) + "\n", lines, raw))
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_texts())
+def test_method_from_config_returns_a_builder_or_a_config_error(text):
+    try:
+        build = method_from_config(text)
+    except (ConfigError, ParseError):
+        return
+    assert callable(build)

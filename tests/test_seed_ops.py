@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from landreg.bench import CASE_KINDS
+
 TOOL_PATH = Path(__file__).resolve().parents[1] / "tools" / "seed_ops.py"
 
 
@@ -66,6 +68,23 @@ def test_record_dense_holds_the_three_scale_dense_transforms():
         assert fields["residual"].shape == fields["condition"].shape == ()
         assert all(array.dtype == np.float64 for array in fields.values())
 
+
+
+def test_record_regcli_holds_the_bytes_of_every_emitted_file():
+    records = dict(load_tool().record_regcli())
+    assert list(records) == [f"{case}|tps" for case in CASE_KINDS] + [
+        "square-shift-32|w2-2d", "real-life|report"]
+    for case in CASE_KINDS:
+        fields = records[f"{case}|tps"]
+        assert set(fields) == {"landmark_csv", "grid_csv", "svg"}
+        assert all(array.dtype.kind == "S" for array in fields.values())
+        assert fields["landmark_csv"].item().startswith(b"sx,sy,tx,ty,quasi\n")
+        assert fields["grid_csv"].item().count(b"\n") == 1601
+        svg = fields["svg"].item()
+        assert svg.count(b"<polyline") == 80 and svg.count(b"<circle") > 0
+    sweep = records["square-shift-32|w2-2d"]["sweep_csv"].item().splitlines()
+    assert sweep[0].startswith(b"method,case,") and sweep[1].startswith(b"w2-2d,square-shift-32,c,")
+    assert records["real-life|report"]["real_life_csv"].item().count(b"\n") == 7
 
 X87 = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize > 10
 

@@ -6,8 +6,12 @@ seven cases at one parameter value (alpha in 0.2, 0.4, 1.2, 2.0 or c in 0.1,
 default grid: 238 operations in all.  ``dump`` also records the three
 scale-dense transforms of the benchmark at seed 0 (Wendland, TPS and
 Shepard-TPS on N = 1000 landmarks and a 141 x 141 grid), whose inputs it
-takes from ``perfbench/workloads.py``, loaded read-only.  Run from the root
-of a checkout, with the landreg to record on the path:
+takes from ``perfbench/workloads.py``, loaded read-only.  It records
+``regcli``'s emitted text too, so a change to the file formats is checked
+byte for byte: for each seed case the landmark CSV of ``gen-case``, the
+grid CSV of a ``tps`` solve and its ``render`` SVG with landmark markers,
+then one ``sweep`` CSV and the ``real-life`` CSV.  Run from the root of a
+checkout, with the landreg to record on the path:
 
     PYTHONPATH=src python3 tools/seed_ops.py dump OUT.npz
     python3 tools/seed_ops.py compare A.npz B.npz
@@ -34,6 +38,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +46,8 @@ import numpy as np
 VALUES = {"alpha": (0.2, 0.4, 1.2, 2.0), "c": (0.1, 0.2, 0.6, 1.0), None: (None,)}
 WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 DENSE_SEED = 0
+REGCLI_CONFIG = "kernel = tps\n"
+REGCLI_SWEEP = ("square-shift-32", "w2-2d")
 
 
 def operations():
@@ -120,6 +127,37 @@ def record_dense():
         }
 
 
+def record_regcli():
+    """(label, fields) of regcli's emitted files, each field the file's bytes."""
+    from landreg import bench
+    from landreg.cli import cli_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        def emit(*argv) -> np.ndarray:
+            out = Path(tmp) / "out"
+            code = cli_main([*argv, "--out", str(out)])
+            if code:
+                raise RuntimeError(f"regcli {' '.join(argv)} exited {code}")
+            return np.array(out.read_bytes())
+
+        landmarks, config, grid = (str(Path(tmp) / name) for name in ("lm.csv", "tps.cfg", "grid.csv"))
+        Path(config).write_text(REGCLI_CONFIG)
+        for case in bench.CASE_KINDS:
+            landmark_csv = emit("gen-case", "--case", case)
+            Path(landmarks).write_bytes(landmark_csv.item())
+            if cli_main(["solve", "--landmarks", landmarks, "--config", config, "--grid-out", grid]):
+                raise RuntimeError(f"regcli solve on {case} failed")
+            yield f"{case}|tps", {
+                "landmark_csv": landmark_csv,
+                "grid_csv": np.array(Path(grid).read_bytes()),
+                "svg": emit("render", "--grid", grid, "--landmarks", landmarks),
+            }
+        case, method = REGCLI_SWEEP
+        yield f"{case}|{method}", {"sweep_csv": emit("sweep", "--case", case, "--method", method,
+                                                     "--reference", "identity")}
+        yield "real-life|report", {"real_life_csv": emit("real-life")}
+
+
 def dump(path: str) -> int:
     fields = {}
     for method, case, value in operations():
@@ -128,9 +166,12 @@ def dump(path: str) -> int:
     for method, dense_fields in record_dense():
         for name, array in dense_fields.items():
             fields[f"{method}|scale-dense|{DENSE_SEED}|{name}"] = array
+    for label, text_fields in record_regcli():
+        for name, array in text_fields.items():
+            fields[f"regcli|{label}|{name}"] = array
     np.savez(path, **fields)
-    print(f"{len(fields)} fields of {len(list(operations()))} seed-case operations "
-          f"and the scale-dense transforms -> {path}")
+    print(f"{len(fields)} fields of {len(list(operations()))} seed-case operations"
+          f", the scale-dense transforms and regcli's files -> {path}")
     return 0
 
 
