@@ -214,7 +214,8 @@ class DDArray:
 
     @property
     def T(self):
-        return _new(self.hi.T, self.lo.T)
+        """The transpose of each matrix in the stack: the last two axes swapped."""
+        return _new(np.swapaxes(self.hi, -1, -2), np.swapaxes(self.lo, -1, -2))
 
     def __len__(self):
         return len(self.hi)
@@ -291,16 +292,11 @@ class DDArray:
         return 1.0 / result if power < 0 else result
 
     def __matmul__(self, other):
-        """Product of (n, k) and (k, m) matrices; each dot product is a pairwise sum."""
+        """Matrix product over the last two axes, batched over leading axes; pairwise sums."""
         bh, bl = _parts(other)
-        bl = np.broadcast_to(bl, bh.shape)
-        ph, pl = _mul(self.hi[:, :, None], self.lo[:, :, None], bh[None], bl[None])
-        return _new(*_tree_sum(ph, pl, axis=1))
-
-    def max(self):
-        """Largest element, as a 0-d DDArray."""
-        i = np.unravel_index(np.argmax(self.hi), self.shape)
-        return _new(self.hi[i], self.lo[i])
+        bh, bl = bh[..., None, :, :], np.broadcast_to(bl, bh.shape)[..., None, :, :]
+        ph, pl = _mul(self.hi[..., None], self.lo[..., None], bh, bl)
+        return _new(*_tree_sum(ph, pl, axis=-2))
 
     # -- comparisons (element-wise, as bool arrays) -------------------------
     def __lt__(self, other):

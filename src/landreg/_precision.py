@@ -13,7 +13,7 @@ kernel value into O(1) output noise.
 
 The double-double rung runs the kernel formulas of :mod:`landreg.kernels`
 and :mod:`landreg.lobachevsky` on :class:`~landreg._dd.DDArray` operands,
-factors the system by a partial-pivot LU that updates the whole trailing
+factors a stack of systems by a partial-pivot LU that updates every trailing
 block at each step, and evaluates with pairwise-summed dot products.  Its
 precision tag is ``"mp"``.
 """
@@ -165,80 +165,93 @@ def _factor(kernel, delta):
 
 
 def _kernel_rows(kernel, tensor, x, centers):
-    """Kernel matrix between points x (P, m) and centers (N, m), as DDArrays."""
+    """Kernel matrix between points x (..., P, m) and centers (..., N, m), as DDArrays."""
     if tensor:
-        return _product_rows(kernel, [None] * x.shape[1], x, centers, None)
+        return _product_rows(kernel, [None] * x.shape[-1], x, centers, None)
     return _radial(kernel, np.sqrt(squared_distances(x, centers)))
 
 
 def _monomials(x, exponents):
-    """Monomial basis at the points x (P, m), (P, U)."""
-    out = DDArray(np.ones((len(x), len(exponents))))
+    """Monomial basis at the points x (..., P, m), (..., P, U), in x's array type and dtype."""
+    out = x[..., [0] * len(exponents)] ** 0          # ones, in x's type
     for u, exps in enumerate(exponents):
         for d, e in enumerate(exps):
             if e:
-                out[:, u] = out[:, u] * x[:, d] ** e
+                out[..., u] = out[..., u] * x[..., d] ** e
     return out
 
 
+def _saddle(m_mat, q_mat):
+    """The saddle matrices [[M, Q], [Q^T, 0]] of a stack of M and Q, ndarrays or DDArrays."""
+    if isinstance(m_mat, DDArray):
+        return DDArray(_saddle(m_mat.hi, q_mat.hi), _saddle(m_mat.lo, q_mat.lo))
+    n, u = q_mat.shape[-2:]
+    full = np.zeros(m_mat.shape[:-2] + (n + u, n + u), dtype=m_mat.dtype)
+    full[..., :n, :n] = m_mat
+    full[..., :n, n:] = q_mat
+    full[..., n:, :n] = np.swapaxes(q_mat, -1, -2)
+    return full
+
+
 def lu_dd(a):
-    """Partial-pivot LU of a DDArray; returns (LU, row order) like lu_extended."""
-    lu = a.copy()
-    n = len(lu)
-    order = np.arange(n)
+    """Partial-pivot LU of an (S, n, n) DDArray stack, as lu_extended factors its stack.
+
+    Each system pivots on the high words of its own column; an exactly zero
+    pivot skips that system's step.  Returns (LU DDArray, row order (S, n)).
+    """
+    s, n, _ = a.shape
+    lu, order, every = a.copy(), np.tile(np.arange(n), (s, 1)), np.arange(s)
     for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(lu.hi[k:, k])))
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            order[[k, p]] = order[[p, k]]
-        if lu.hi[k, k] == 0:
-            continue
-        col = lu[k + 1:, k] / lu[k, k]
-        lu[k + 1:, k] = col
-        lu[k + 1:, k + 1:] = lu[k + 1:, k + 1:] - col[:, None] * lu[k, k + 1:]
+        p = k + np.abs(lu.hi[:, k:, k]).argmax(axis=1)
+        for rows in (lu.hi, lu.lo, order):
+            rows[every, k], rows[every, p] = rows[every, p], rows[every, k]
+        pivot = lu[:, k, k]
+        live = slice(None) if np.count_nonzero(pivot.hi) == s else np.flatnonzero(pivot.hi)
+        lu[live, k + 1:, k] /= pivot[live, None]
+        lu[live, k + 1:, k + 1:] -= lu[live, k + 1:, k, None] * lu[live, k, None, k + 1:]
     return lu, order
 
 
 def lu_solve_dd(lu, order, rhs):
-    """Solve with the factors of lu_dd; rhs is (n, m), float64 or DDArray."""
-    x = (rhs if isinstance(rhs, DDArray) else DDArray(rhs))[order]
-    n = len(lu)
+    """Solve with the factors of lu_dd, whose diagonals must be nonzero; rhs is (S, n, m)."""
+    x = (rhs if isinstance(rhs, DDArray) else DDArray(rhs))[np.arange(len(lu))[:, None], order]
+    n = lu.shape[1]
     for k in range(n - 1):
-        x[k + 1:] = x[k + 1:] - lu[k + 1:, k, None] * x[k]
+        x[:, k + 1:] -= lu[:, k + 1:, k, None] * x[:, k, None]
     for k in range(n - 1, -1, -1):
-        x[k] = x[k] / lu[k, k]
+        x[:, k] /= lu[:, k, k, None]
         if k:
-            x[:k] = x[:k] - lu[:k, k, None] * x[k]
+            x[:, :k] -= lu[:, :k, k, None] * x[:, k, None]
     return x
 
 
 def mp_solve(kernel, tensor, sources, tail_degree, exponents, rhs):
-    """Assemble and solve the saddle system in double-double precision.
+    """Assemble and solve a stack of saddle systems in double-double precision.
 
-    One factorization serves all coordinates.  Returns (coefficient
-    DDArray (N+U, m), max interpolation residual); (None, inf) when the
-    system is exactly singular.
+    sources is (S, N, m) and rhs (S, N+U, m); one factorization per system
+    serves all its coordinates.  Returns a list of S (coefficient DDArray
+    (N+U, m), max interpolation residual), (None, inf) for a system that is
+    exactly singular.
     """
     x = DDArray(sources)
-    n = len(sources)
+    n = sources.shape[1]
     system = _kernel_rows(kernel, tensor, x, x)
     if tail_degree is not None:
-        u = len(exponents)
-        q = _monomials(x, exponents)
-        full = DDArray(np.zeros((n + u, n + u)))
-        full[:n, :n] = system
-        full[:n, n:] = q
-        full[n:, :n] = q.T
-        system = full
+        system = _saddle(system, _monomials(x, exponents))
     lu, order = lu_dd(system)
-    if not np.all(np.diagonal(lu.hi)):
-        return None, np.inf
+    ok = np.flatnonzero(np.diagonal(lu.hi, axis1=1, axis2=2).all(axis=1))
     # Fixed-precision refinement never lowered the residual of a double-double
     # solve on the square cases (each step grew it 2-1000x: cond * 2^-106 > 1
     # there), so the rung keeps its first solve and only measures its residual.
-    z = lu_solve_dd(lu, order, rhs)
-    r = rhs - system @ z
-    return z, (float(np.abs(r[:n]).max()) if np.isfinite(r).all() else np.inf)
+    z = lu_solve_dd(lu[ok], order[ok], rhs[ok])
+    r = abs(rhs[ok] - system[ok] @ z)
+    hi, lo = (part[:, :n].reshape(len(ok), n * rhs.shape[2]) for part in (r.hi, r.lo))
+    top = hi.argmax(axis=1)          # the largest |r|: hi + lo at its largest high word
+    res = np.where(np.isfinite(r).all(axis=(1, 2)), (hi + lo)[np.arange(len(ok)), top], np.inf)
+    out = [(None, np.inf)] * len(sources)
+    for j, i in enumerate(ok.tolist()):
+        out[i] = (z[j], float(res[j]))
+    return out
 
 
 def _axis_tables(kernel, tensor, pts, centers):
@@ -265,7 +278,7 @@ def _product_rows(kernel, tables, x, centers, rows):
     out = None
     for d, table in enumerate(tables):
         if table is None:
-            factor = _factor(kernel, x[:, None, d] - centers[None, :, d])
+            factor = _factor(kernel, x[..., :, None, d] - centers[..., None, :, d])
         else:
             factor = table[0][table[1][rows]]
         out = factor if out is None else out * factor

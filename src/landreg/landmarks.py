@@ -28,14 +28,14 @@ def chunk_rows(width: int, itemsize: int = 8) -> int:
 
 
 def squared_distances(points, sources):
-    """(P, N) squared Euclidean distances, in the dtype of the operands.
+    """(..., P, N) squared Euclidean distances of points (..., P, m) and sources (..., N, m).
 
-    The per-axis squares are added in coordinate order, the order of numpy's
-    ``sum(-1)`` over m <= 3 coordinates, without a (P, N, m) difference array.
+    In the operands' dtype.  The per-axis squares are added in coordinate
+    order, the order of numpy's ``sum(-1)`` over m <= 3, without a (P, N, m) array.
     """
     d2 = None
-    for d in range(points.shape[1]):
-        diff = points[:, None, d] - sources[None, :, d]
+    for d in range(points.shape[-1]):
+        diff = points[..., :, None, d] - sources[..., None, :, d]
         diff *= diff
         if d2 is None:
             d2 = diff
@@ -172,7 +172,8 @@ def _distance_blocks(sources):
     """(first row, block) over row chunks of the squared distance matrix, diagonal inf."""
     step = chunk_rows(len(sources))
     for start in range(0, len(sources), step):
-        d2 = squared_distances(sources[start:start + step], sources)
+        with np.errstate(over="ignore"):      # an overflowed square is +inf: not coincident
+            d2 = squared_distances(sources[start:start + step], sources)
         d2[np.arange(len(d2)), np.arange(start, start + len(d2))] = np.inf
         yield start, d2
 

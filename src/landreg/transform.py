@@ -87,14 +87,7 @@ def monomial_exponents(dimension: int, degree: int) -> list[tuple[int, ...]]:
 def monomial_matrix(points, degree: int):
     """Matrix of the monomial basis evaluated at the points, (P, U)."""
     points = np.atleast_2d(points)
-    cols = []
-    for exps in monomial_exponents(points.shape[1], degree):
-        col = np.ones(points.shape[0], dtype=points.dtype)
-        for d, e in enumerate(exps):
-            if e:
-                col = col * points[:, d] ** e
-        cols.append(col)
-    return np.stack(cols, axis=1)
+    return _precision._monomials(points, monomial_exponents(points.shape[1], degree))
 
 
 def tail_dimension(dimension: int, degree) -> int:
@@ -177,8 +170,8 @@ def _landmark_block(kernel, landmarks: LandmarkSet, k: int) -> SharedKernelBlock
 
     A float64 or 80-bit rung takes the block only when its N^2 entries
     are no more than the N separate (k, k) blocks hold together, and it
-    fits CHUNK_BYTES; a refused rung, and the double-double rung, assemble
-    each system on its own.
+    fits CHUNK_BYTES; a refused rung assembles each system on its own, and
+    the double-double rung, which holds few systems, its stack at once.
     """
     n = landmarks.n
     dtypes = [dtype for dtype in (np.dtype(float), np.dtype(np.longdouble))
@@ -254,16 +247,9 @@ class _Problem:
         m_mat = None if self.shared is None else self.shared.take(self.index, self.index, dtype)
         if m_mat is None:
             m_mat = self.kernel_rows(src)
-        u = len(self.exponents)
-        if u == 0:
+        if self.tail_degree is None:
             return m_mat
-        n = self.n
-        q_mat = monomial_matrix(src, self.tail_degree)
-        full = np.zeros((n + u, n + u), dtype=dtype)
-        full[:n, :n] = m_mat
-        full[:n, n:] = q_mat
-        full[n:, :n] = q_mat.T
-        return full
+        return _precision._saddle(m_mat, monomial_matrix(src, self.tail_degree))
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +304,8 @@ def _solve_stack(problems, rhs, context: str):
 
     rhs is (S, N+U, m), one right-hand side per problem.  float64 factors
     system by system and refines the stack; the systems it rejects go on
-    as one 80-bit stack, and those the 80-bit rung rejects go one by one to
-    double-double.  Returns one (solution, interpolation residual,
+    as one 80-bit stack, and those the 80-bit rung rejects as one
+    double-double stack.  Returns one (solution, interpolation residual,
     condition estimate, precision tag) per system.  Raises SolveError, with
     ``index`` naming the first such system, when even the top rung leaves
     a system's interpolation conditions violated (numerically singular).
@@ -353,12 +339,13 @@ def _solve_stack(problems, rhs, context: str):
             extended[i] = (z, res)
             if res <= min(MP_THRESHOLD * scale[i], lower[i][1]):
                 solved[i] = (z, res, conds[i], "longdouble")
-    for i in [i for i in rest if solved[i] is None]:
-        problem = problems[i]
+    top = [i for i in rest if solved[i] is None]
+    problem = problems[0]
+    mp = [] if not top else _precision.mp_solve(
+        problem.kernel, problem.tensor, np.stack([problems[i].sources for i in top]),
+        problem.tail_degree, problem.exponents, rhs[top])
+    for i, (coef_mp, res_mp) in zip(top, mp):
         (z, res), (z_ext, res_ext) = lower[i], extended[i]
-        coef_mp, res_mp = _precision.mp_solve(
-            problem.kernel, problem.tensor, problem.sources, problem.tail_degree,
-            problem.exponents, rhs[i])
         candidates = [(res_mp, coef_mp, "mp"), (res_ext, z_ext, "longdouble"), (res, z, "double")]
         best_res, best_z, precision = min(candidates, key=lambda item: item[0])
         if best_z is None or best_res > RESIDUAL_LIMIT * scale[i]:

@@ -142,6 +142,28 @@ def test_tree_sum_and_matmul_match_exact_sums():
             assert abs(exact(got.hi[i, j], got.lo[i, j]) - want) <= 2.0 ** -100 * scale
 
 
+@pytest.mark.parametrize("rhs_words", [1, 2], ids=["float-rhs", "dd-rhs"])
+def test_batched_matmul_matches_each_matrix_product(rhs_words):
+    """A stack of products carries the bits of each 2-D product, float or double-double b."""
+    rng = np.random.default_rng(rhs_words)
+    a = DDArray(rng.standard_normal((4, 5, 9))) / 3.0
+    b = rng.standard_normal((4, 9, 2))
+    b = DDArray(b) / 7.0 if rhs_words == 2 else b
+    got = a @ b
+    assert got.shape == (4, 5, 2)
+    for i in range(4):
+        want = a[i] @ b[i]
+        assert np.array_equal(got.hi[i], want.hi) and np.array_equal(got.lo[i], want.lo)
+
+
+def test_transpose_swaps_the_last_two_axes():
+    a = DDArray(np.arange(24.0).reshape(2, 3, 4)) / 3.0
+    t = a.T
+    assert t.shape == (2, 4, 3)
+    for i in range(2):
+        assert np.array_equal(t.hi[i], a.hi[i].T) and np.array_equal(t.lo[i], a.lo[i].T)
+
+
 @pytest.mark.parametrize("kernel", [Gaussian(1.3), ThinPlateSpline(), WendlandRadial(2, 1, 0.7),
                                     GeneralizedMultiquadric(0.5, 1),
                                     GeneralizedMultiquadric(0.5, -1)])

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 import landreg
 from landreg import _precision, transform
+from landreg._dd import DDArray
 from landreg.bench import CaseSpec, build_method, default_grid, gen_case
-from landreg.kernels import Gaussian
-from landreg.transform import solve_transform
+from landreg.kernels import Gaussian, ThinPlateSpline, Wendland1D, polynomial_tail_degree
+from landreg.lobachevsky import LobachevskySpline
+from landreg.transform import monomial_exponents, solve_transform
 
 GRID = default_grid().points
 PROBES = GRID[np.linspace(0, len(GRID) - 1, 60).round().astype(int)]
@@ -321,3 +323,147 @@ def test_refinement_freezes_a_member_whose_residual_goes_non_finite():
                                      rhs[i], 5, 3)
         assert_same_bits(z[i], z_i)
         assert res[i] == res_i
+
+
+# ---------------------------------------------------------------------------
+# the stacked double-double LU and mp_solve against per-system solves
+
+def dd_row_loop_lu(a):
+    """Partial-pivot LU of one (n, n) DDArray, as the rung factored each system on its own."""
+    lu = a.copy()
+    n = len(lu)
+    order = np.arange(n)
+    for k in range(n - 1):
+        p = k + int(np.argmax(np.abs(lu.hi[k:, k])))
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
+            order[[k, p]] = order[[p, k]]
+        if lu.hi[k, k] == 0:
+            continue
+        col = lu[k + 1:, k] / lu[k, k]
+        lu[k + 1:, k] = col
+        lu[k + 1:, k + 1:] = lu[k + 1:, k + 1:] - col[:, None] * lu[k, k + 1:]
+    return lu, order
+
+
+def dd_row_loop_solve(lu, order, rhs):
+    """Substitution with the factors of dd_row_loop_lu; rhs is (n, m), float64 or DDArray."""
+    x = (rhs if isinstance(rhs, DDArray) else DDArray(rhs))[order]
+    n = len(lu)
+    for k in range(n - 1):
+        x[k + 1:] = x[k + 1:] - lu[k + 1:, k, None] * x[k]
+    for k in range(n - 1, -1, -1):
+        x[k] = x[k] / lu[k, k]
+        if k:
+            x[:k] = x[:k] - lu[:k, k, None] * x[k]
+    return x
+
+
+def assert_same_dd(got, want):
+    assert got.shape == want.shape
+    assert_same_bits(got.hi, want.hi)
+    assert_same_bits(got.lo, want.lo)
+
+
+def check_dd_against_row_loops(a, rng, solve=None):
+    """lu_dd of the stack a against dd_row_loop_lu, and lu_solve_dd for the members in solve."""
+    lu, order = _precision.lu_dd(a)
+    assert lu.shape == a.shape and order.shape == a.shape[:2] and order.dtype == np.intp
+    oracle = [dd_row_loop_lu(a[i]) for i in range(len(a))]
+    for i, (lu_i, order_i) in enumerate(oracle):
+        assert_same_dd(lu[i], lu_i)
+        assert np.array_equal(order[i], order_i)
+    solve = list(range(len(a))) if solve is None else solve
+    rhs = rng.standard_normal((len(solve), a.shape[1], 2))
+    for b in (rhs, DDArray(rhs) / 7.0):
+        x = _precision.lu_solve_dd(lu[solve], order[solve], b)
+        assert x.shape == rhs.shape
+        for j, i in enumerate(solve):
+            assert_same_dd(x[j], dd_row_loop_solve(*oracle[i], b[j]))
+    return lu, order
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 10))
+def test_stacked_dd_lu_matches_row_loops(seed, size, n):
+    a = DDArray(random_stack(seed, size, n)) / 3.0    # nonzero low words
+    check_dd_against_row_loops(a, np.random.default_rng(seed))
+
+
+def test_stacked_dd_lu_pivots_each_system_on_its_own_rows():
+    a = random_stack(3, 4, 9)
+    a[2] = a[2][::-1]
+    lu, order = check_dd_against_row_loops(DDArray(a) / 3.0, np.random.default_rng(3))
+    assert len({tuple(o) for o in order}) > 1
+
+
+@pytest.mark.parametrize("make_singular", [
+    lambda m: m.__setitem__(4, m[2]),                        # two equal rows: the last pivot is 0
+    lambda m: m.__setitem__((slice(None), 2), 0.0),          # a zero column: step 2's pivot is 0
+], ids=["equal-rows", "zero-column"])
+def test_singular_dd_member_leaves_its_neighbours(make_singular):
+    a = random_stack(5, 3, 6)
+    make_singular(a[1])
+    lu, _ = check_dd_against_row_loops(DDArray(a) / 3.0, np.random.default_rng(5), solve=[0, 2])
+    diagonal = np.diagonal(lu.hi, axis1=1, axis2=2)
+    assert (diagonal[1] == 0).any() and diagonal[[0, 2]].all()
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_dd_member_leaves_its_neighbours(bad):
+    a = random_stack(11, 3, 5)
+    a[0, 3, 1] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        lu, order = _precision.lu_dd(DDArray(a))
+    assert not np.isfinite(lu.hi[0]).all()
+    alone = _precision.lu_dd(DDArray(a[1:]))
+    assert_same_dd(lu[1:], alone[0])
+    assert np.array_equal(order[1:], alone[1])
+
+
+def mp_problem(kernel, seed, size, n, m):
+    """mp_solve's arguments for a stack of random systems of one kernel."""
+    rng = np.random.default_rng(seed)
+    sources = rng.uniform(0.0, 1.0, (size, n, m))
+    degree = polynomial_tail_degree(kernel)
+    exponents = [] if degree is None else monomial_exponents(m, degree)
+    rhs = np.zeros((size, n + len(exponents), m))
+    rhs[:, :n] = sources + rng.uniform(-0.05, 0.05, (size, n, m))
+    tensor = isinstance(kernel, (Wendland1D, LobachevskySpline))
+    return [kernel, tensor, sources, degree, exponents, rhs]
+
+
+def solve_alone(args, i):
+    """mp_solve's result for member i of the stack args, solved as a stack of one."""
+    kernel, tensor, sources, degree, exponents, rhs = args
+    return _precision.mp_solve(kernel, tensor, sources[i:i + 1], degree, exponents,
+                               rhs[i:i + 1])
+
+
+def assert_stack_of_one_bits(args, got, members):
+    for i in members:
+        (want_z, want_res), = solve_alone(args, i)
+        z, res = got[i]
+        assert res == want_res and np.isfinite(res)
+        assert_same_dd(z, want_z)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([ThinPlateSpline(), Wendland1D(2, 1.5), LobachevskySpline(4, alpha=1.0),
+                        Gaussian(2.0)]),
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(5, 10), st.integers(1, 3))
+def test_stacked_mp_solve_matches_stacks_of_one(kernel, seed, size, n, m):
+    """Tails (thin-plate spline) and tensor kernels, which no seed operation sends to this rung."""
+    args = mp_problem(kernel, seed, size, n, m)
+    got = _precision.mp_solve(*args)
+    assert len(got) == size and all(z.shape == args[5].shape[1:] for z, _ in got)
+    assert_stack_of_one_bits(args, got, range(size))
+
+
+def test_mp_solve_gives_a_member_with_equal_rows_none():
+    args = mp_problem(Gaussian(2.0), 19, 3, 8, 2)
+    args[2][1, 5] = args[2][1, 2]             # coinciding sources: two equal rows
+    got = _precision.mp_solve(*args)
+    assert got[1] == (None, np.inf)
+    assert_stack_of_one_bits(args, got, [0, 2])
+    assert solve_alone(args, 1) == [(None, np.inf)]

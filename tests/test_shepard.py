@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landreg import shepard, transform
 from landreg.bench import CASE_KINDS, CaseSpec, build_method, default_grid, gen_case
@@ -8,7 +10,7 @@ from landreg.landmarks import LandmarkSet
 from landreg.shepard import (SNAP_RADIUS, NodalSolveError, ShepardConfig,
                              build_nodal_interpolants, build_shepard_transform,
                              nearest_landmarks, node_radii)
-from landreg.transform import SharedKernelBlock, _Problem
+from landreg.transform import SharedKernelBlock, _Problem, solve_transform
 from weights import scattered_weights
 
 
@@ -210,6 +212,32 @@ def test_identity_targets_reproduced_between_landmarks():
     rng = np.random.RandomState(8)
     probes = rng.uniform(0.1, 0.9, (100, 2))
     assert np.abs(t(probes) - probes).max() < 1e-8
+
+
+@st.composite
+def affine_problems(draw):
+    """Landmarks on a jittered 1-3-D lattice mapped by a random affine F, probes, (N_L, N_W)."""
+    m = draw(st.integers(1, 3))
+    side = draw(st.integers(3 if m == 1 else 2, {1: 12, 2: 5, 3: 3}[m]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cells = np.stack(np.meshgrid(*[np.arange(side)] * m, indexing="ij"), -1).reshape(-1, m)
+    src = (cells + 0.5 + rng.uniform(-0.35, 0.35, cells.shape)) / side
+    a, b = rng.uniform(-2.0, 2.0, (m, m)), rng.uniform(-1.0, 1.0, m)
+    probes = rng.uniform(-0.2, 1.2, (30, m))
+    n_l = draw(st.integers(m + 2, len(src)))
+    n_w = draw(st.integers(1, len(src)))
+    return LandmarkSet(src, src @ a.T + b), probes, probes @ a.T + b, n_l, n_w
+
+
+@settings(max_examples=60, deadline=None)
+@given(affine_problems())
+def test_tps_and_shepard_tps_reproduce_affine_maps(problem):
+    """A degree-1 tail reproduces an affine map, and Shepard's weights sum to one."""
+    lm, probes, want, n_l, n_w = problem
+    tolerance = 1e-9 * np.maximum(1.0, np.abs(want).max(axis=1))
+    for t in (solve_transform(ThinPlateSpline(), lm),
+              build_shepard_transform(lm, ShepardConfig(ThinPlateSpline(), n_l, n_w))):
+        assert (np.abs(t(probes) - want).max(axis=1) <= tolerance).all()
 
 
 def test_locality_perturbation_is_bit_exact():

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landreg.bench import CaseSpec, build_method, gen_case
@@ -36,6 +37,15 @@ def test_landmark_set_basics():
     assert lm.n == 2 and lm.dimension == 2 and len(lm) == 2
     sub = lm.subset([1])
     assert sub.n == 1 and sub.quasi[0]
+
+
+def test_landmarks_near_the_float_limit_build_without_overflow_warnings():
+    """A squared distance that overflows is +inf: apart, and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert LandmarkSet([[-1e300, 0.0], [1e300, 0.5]], [[0.0, 0.0], [1.0, 1.0]]).n == 2
+        with pytest.raises(ValueError, match="landmarks 1 and 2 coincide"):
+            LandmarkSet([[-1e300, 0.0], [1e300, 0.5], [1e300, 0.5]], np.zeros((3, 2)))
 
 
 def test_landmark_set_rejects_bad_input():
@@ -331,8 +341,18 @@ def solution_bits(t):
     return (z.hi, z.lo) if t.precision == "mp" else (z,)
 
 
+# 7 landmarks on a line: for the two kernels of the examples below, all three
+# neighbourhood rows reach the double-double rung, as one stack of 3
+FLAT_SOURCES = np.array([1, 5, 8, 13, 17, 18, 20])[:, None] / 32.0
+FLAT_LINE = LandmarkSet(FLAT_SOURCES, FLAT_SOURCES + np.array(
+    [0.041, -0.037, 0.0, 0.024, 0.047, -0.02, -0.018])[:, None])
+FLAT_ROWS = np.array([[1, 2, 5, 6, 4, 3, 0], [3, 2, 4, 1, 6, 0, 5], [2, 4, 3, 0, 5, 1, 6]])
+
+
 @settings(max_examples=100, deadline=None)
 @given(neighborhood_problems())
+@example((Gaussian(0.5), FLAT_LINE, FLAT_ROWS))
+@example((LobachevskySpline(8, alpha=0.2), FLAT_LINE, FLAT_ROWS))
 def test_each_neighborhood_solves_as_its_own_subset(problem):
     """A stacked solve gives every row the bits of solving its subset alone."""
     kernel, lm, rows = problem
