@@ -178,6 +178,9 @@ def _distance_blocks(sources):
         yield start, d2
 
 
+_FIELDS = ("sources", "targets", "quasi")
+
+
 @dataclass(frozen=True)
 class LandmarkSet:
     """Immutable set of N landmark pairs in R^m (m = 1, 2 or 3)."""
@@ -245,20 +248,38 @@ class LandmarkSet:
         idx = np.asarray(indices)
         if idx.ndim != 1 or not len(idx):
             raise ValueError("subset indices must be a non-empty 1-D sequence")
-        if idx.dtype.kind not in "iu":
-            raise ValueError(f"subset indices must be integers, got dtype {idx.dtype}")
-        ordered = np.sort(idx)
-        if ordered[0] < 0 or ordered[-1] >= self.n:
+        self._check_rows(idx[None])
+        return LandmarkSet._unchecked(*(getattr(self, name)[idx] for name in _FIELDS))
+
+    def _check_rows(self, index):
+        """Check each row of an (S, K) index array as subset checks its indices.
+
+        One pass over the whole array: its dtype, its range, and repeats
+        within each row by a row-wise sort.  The first bad row raises the
+        error subset raises for it.
+        """
+        if index.dtype.kind not in "iu":
+            raise ValueError(f"subset indices must be integers, got dtype {index.dtype}")
+        ordered = np.sort(index, axis=1)
+        outside = (ordered[:, 0] < 0) | (ordered[:, -1] >= self.n)
+        repeats = ordered[:, 1:] == ordered[:, :-1]
+        bad = outside | repeats.any(axis=1)
+        if not bad.any():
+            return
+        first = int(bad.argmax())
+        if outside[first]:
             raise ValueError(f"subset indices must be in 0..{self.n - 1}")
-        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-        if len(repeated):
-            i = int(np.flatnonzero(np.isin(idx, repeated))[0])
-            j = int(np.flatnonzero(idx == idx[i])[1])
-            raise ValueError(f"degenerate input: source landmarks {i} and {j} "
-                             f"coincide (separation {0.0:.3e})")
+        row = index[first]
+        i = int(np.flatnonzero(np.isin(row, ordered[first, 1:][repeats[first]]))[0])
+        j = int(np.flatnonzero(row == row[i])[1])
+        raise ValueError(f"degenerate input: source landmarks {i} and {j} "
+                         f"coincide (separation {0.0:.3e})")
+
+    @staticmethod
+    def _unchecked(sources, targets, quasi) -> "LandmarkSet":
+        """A set of arrays cut from a checked set, made read-only and taken as they are."""
         out = object.__new__(LandmarkSet)
-        for name in ("sources", "targets", "quasi"):
-            arr = getattr(self, name)[idx]
+        for name, arr in zip(_FIELDS, (sources, targets, quasi)):
             arr.setflags(write=False)
             object.__setattr__(out, name, arr)
         return out

@@ -20,7 +20,7 @@ import numpy as np
 from .kernels import RadialKernel, _positive_finite, polynomial_tail_degree
 from .landmarks import CHUNK_BYTES, LandmarkSet, k_nearest
 from .transform import (GlobalRadialTransform, SolveError, Transformation, _Problem,
-                        solve_transform, tail_dimension)
+                        monomial_matrix, solve_transform, tail_dimension)
 
 
 SNAP_RADIUS = 1e-12   # points this close to a landmark take its weight alone
@@ -169,9 +169,11 @@ def _evaluate(cfg, landmarks, rho, nodal, pts):
     near, d2 = k_nearest(landmarks.sources, pts, cfg.n_w)
     wbar = _weights_matrix(landmarks, cfg, rho, pts, near, d2)
     out = np.zeros((pts.shape[0], landmarks.dimension))
-    # the points each landmark weighs, grouped by landmark, ascending within a group
+    # the points each landmark weighs, grouped by landmark, ascending within a group;
+    # numpy radix-sorts keys of 16 bits or fewer, in the same stable order
     terms = np.flatnonzero(wbar)
-    terms = terms[np.argsort(near.ravel()[terms], kind="stable")]
+    keys = near.ravel()[terms].astype(np.min_scalar_type(landmarks.n - 1))
+    terms = terms[np.argsort(keys, kind="stable")]
     rows, nodes, weights = terms // cfg.n_w, near.ravel()[terms], wbar.ravel()[terms]
     bounds = np.searchsorted(nodes, np.arange(landmarks.n + 1))
     groups = [(nf, slice(bounds[nf.center], bounds[nf.center + 1])) for nf in nodal]
@@ -188,21 +190,42 @@ def _evaluate(cfg, landmarks, rho, nodal, pts):
     return out
 
 
-def _center_value(nf: NodalFunction, landmarks: LandmarkSet):
-    """L_j(x_j), from the nodal systems' shared landmark block where its rung took one.
+def _center_values(nodal, landmarks: LandmarkSet) -> np.ndarray:
+    """L_j(x_j) of every nodal function, (len(nodal), m), in one stacked evaluation per rung.
 
-    The block row is the kernel_rows of the single point x_j, so the value
-    carries the bits of the interpolant's own evaluation there.
+    A float64 or 80-bit rung takes the (S, 1, N_L) kernel rows of its S
+    centres from the nodal systems' shared landmark block where it took
+    one, or else from one stacked kernel_rows; one stacked matmul, plus the
+    tail's, gives the values.  Each row is the kernel_rows of the single
+    point x_j, and each coefficient slice keeps its interpolant's memory
+    layout, so a stacked product, which runs each member's own BLAS call,
+    carries the bits of the interpolant's own evaluation at x_j.  A
+    double-double node evaluates itself.
     """
-    local = nf.interpolant
-    problem = local._problem
-    dtype = {"double": float, "longdouble": np.longdouble}.get(local.precision)
-    row = None
-    if problem.shared is not None and dtype is not None:
-        row = problem.shared.take([nf.center], problem.index, dtype)
-    if row is None:
-        return local(landmarks.sources[nf.center])
-    return local._block_values(landmarks.sources[[nf.center]].astype(dtype), row)[0]
+    out = np.empty((len(nodal), landmarks.dimension))
+    for precision, dtype in (("double", np.dtype(float)), ("longdouble", np.dtype(np.longdouble))):
+        rung = [j for j, nf in enumerate(nodal) if nf.interpolant.precision == precision]
+        if not rung:
+            continue
+        members = [nodal[j] for j in rung]
+        centers = np.array([nf.center for nf in members])
+        index = np.array([nf.neighbors for nf in members])
+        problem = members[0].interpolant._problem
+        x = landmarks.sources[centers][:, None].astype(dtype)
+        rows = None if problem.shared is None else problem.shared.take(centers[:, None], index, dtype)
+        if rows is None:
+            rows = _Problem(problem.kernel, landmarks.sources[index], None).kernel_rows(x)
+        # (S, N_L, m) with each (N_L, m) slice column-major, as getrs leaves a solution
+        coef = np.stack([nf.interpolant.coef.T for nf in members]).transpose(0, 2, 1)
+        values = rows @ coef
+        if problem.tail_degree is not None:
+            tail = np.stack([nf.interpolant.poly_coef.T for nf in members]).transpose(0, 2, 1)
+            values = values + monomial_matrix(x, problem.tail_degree) @ tail
+        out[rung] = values[:, 0]
+    for j, nf in enumerate(nodal):
+        if nf.interpolant.precision == "mp":
+            out[j] = nf.interpolant(landmarks.sources[nf.center])
+    return out
 
 
 class ShepardTransform(Transformation):
@@ -215,7 +238,7 @@ class ShepardTransform(Transformation):
         self.config = config
         self.nodal = nodal
         self.rho = rho
-        centers = np.array([_center_value(nf, landmarks) for nf in nodal])
+        centers = _center_values(nodal, landmarks)
         for shared in {nf.interpolant._problem.shared for nf in nodal} - {None}:
             shared.release()     # the transform would otherwise hold up to CHUNK_BYTES per rung
         self.residual = float(np.abs(centers - landmarks.targets).max())

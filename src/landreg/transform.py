@@ -29,14 +29,12 @@ coefficients or kernel values any lower would re-inject the full error.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor
-from scipy.linalg.lapack import dgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from . import _precision
 from ._precision import _refined_solve
@@ -85,9 +83,9 @@ def monomial_exponents(dimension: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def monomial_matrix(points, degree: int):
-    """Matrix of the monomial basis evaluated at the points, (P, U)."""
+    """Matrix of the monomial basis evaluated at the points (..., P, m), (..., P, U)."""
     points = np.atleast_2d(points)
-    return _precision._monomials(points, monomial_exponents(points.shape[1], degree))
+    return _precision._monomials(points, monomial_exponents(points.shape[-1], degree))
 
 
 def tail_dimension(dimension: int, degree) -> int:
@@ -109,28 +107,31 @@ def _univariate_factor(kernel, delta):
 
 
 def _axis_factor(kernel, x, centers, values):
-    """psi(x_i - c_j) for one coordinate, (P, N), in x's dtype.
+    """psi(x_i - c_j) for one coordinate of x (..., P) and centers (..., N), (..., P, N).
 
-    values is the coordinate's distinct values (a grid axis, or the
-    coordinates of landmarks on a lattice), or None.  Given values, psi is
-    evaluated once per distinct value and the rows are gathered back; psi
-    is elementwise, so the bits are those of the direct evaluation.
+    In x's dtype.  values is the coordinate's distinct values (a grid axis,
+    or the coordinates of landmarks on a lattice) for a 1-D x, or None.
+    Given values, psi is evaluated once per distinct value and the rows are
+    gathered back; psi is elementwise, so the bits are those of the direct
+    evaluation.
     """
     if values is None:
-        return _univariate_factor(kernel, x[:, None] - centers[None, :])
+        return _univariate_factor(kernel, x[..., :, None] - centers[..., None, :])
     rows = _univariate_factor(kernel, values[:, None] - centers[None, :])
     return rows[np.searchsorted(values, x)]
 
 
 def _tensor_matrix(kernel, x, centers, distinct=None):
-    """Product kernel matrix Prod_d psi(x_d - c_d), dtype-preserving.
+    """Product kernel matrix Prod_d psi(x_d - c_d) of x (..., P, m) and centers (..., N, m).
 
-    distinct is distinct_axes(x), computed here when not given.
+    dtype-preserving.  distinct is distinct_axes(x), computed here for a
+    2-D x when not given; a stacked x evaluates its factors directly.
     """
-    distinct = distinct_axes(x) if distinct is None else distinct
-    out = _axis_factor(kernel, x[:, 0], centers[:, 0], distinct[0])
-    for d in range(1, x.shape[1]):
-        out = out * _axis_factor(kernel, x[:, d], centers[:, d], distinct[d])
+    if distinct is None:
+        distinct = distinct_axes(x) if x.ndim == 2 else [None] * x.shape[-1]
+    out = _axis_factor(kernel, x[..., 0], centers[..., 0], distinct[0])
+    for d in range(1, x.shape[-1]):
+        out = out * _axis_factor(kernel, x[..., d], centers[..., d], distinct[d])
     return out
 
 
@@ -150,7 +151,12 @@ class SharedKernelBlock:
         self._blocks = {}
 
     def take(self, rows, cols, dtype):
-        """The (rows, cols) kernel sub-block in dtype, or None where dtype takes no block."""
+        """block[rows[..., :, None], cols[..., None, :]] in dtype, or None where dtype takes no block.
+
+        rows (..., R) and cols (..., C) index the set's sources.  1-D ones
+        give the (R, C) sub-block; (S, R) and (S, C) ones give the (S, R, C)
+        stack of the S sub-blocks in one fancy index.
+        """
         dtype = np.dtype(dtype)
         if dtype not in self.dtypes:
             return None
@@ -158,7 +164,8 @@ class SharedKernelBlock:
         if block is None:
             whole = _Problem(self.kernel, self.sources, None)
             block = self._blocks[dtype] = whole.kernel_rows(self.sources.astype(dtype))
-        return block[np.ix_(rows, cols)]
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        return block[rows[..., :, None], cols[..., None, :]]
 
     def release(self):
         """Drop the built blocks, which the solved systems no longer need; take rebuilds them."""
@@ -170,8 +177,8 @@ def _landmark_block(kernel, landmarks: LandmarkSet, k: int) -> SharedKernelBlock
 
     A float64 or 80-bit rung takes the block only when its N^2 entries
     are no more than the N separate (k, k) blocks hold together, and it
-    fits CHUNK_BYTES; a refused rung assembles each system on its own, and
-    the double-double rung, which holds few systems, its stack at once.
+    fits CHUNK_BYTES.  A refused rung, and the double-double rung, which
+    holds few systems, evaluate their stack's kernel blocks in one pass.
     """
     n = landmarks.n
     dtypes = [dtype for dtype in (np.dtype(float), np.dtype(np.longdouble))
@@ -181,18 +188,31 @@ def _landmark_block(kernel, landmarks: LandmarkSet, k: int) -> SharedKernelBlock
 
 @dataclass(frozen=True)
 class _Problem:
-    """One interpolation system: kernel, geometry, optional polynomial tail."""
+    """One interpolation system, or a stack of equally sized ones.
+
+    Kernel, geometry (sources (N, m), or (S, N, m) for a stack) and
+    optional polynomial tail.
+    """
 
     kernel: object
     sources: np.ndarray
     tail_degree: Optional[int]
-    # a block shared with other systems, and the positions of these sources in it
+    # a block shared with other systems, and the positions of these sources in it:
+    # (N,), or (S, N) for a stack
     shared: Optional[SharedKernelBlock] = None
     index: Optional[np.ndarray] = None
 
+    def __getitem__(self, rows):
+        """The systems at rows of a stack: one for an integer, a stack for a list.
+
+        None makes a single system a stack of one.
+        """
+        index = None if self.index is None else self.index[rows]
+        return _Problem(self.kernel, self.sources[rows], self.tail_degree, self.shared, index)
+
     @property
     def n(self) -> int:
-        return len(self.sources)
+        return self.sources.shape[-2]
 
     @property
     def tensor(self) -> bool:
@@ -203,11 +223,17 @@ class _Problem:
     def exponents(self):
         if self.tail_degree is None:
             return []
-        return monomial_exponents(self.sources.shape[1], self.tail_degree)
+        return monomial_exponents(self.sources.shape[-1], self.tail_degree)
 
     def kernel_rows(self, x, cols=slice(None)):
-        """Kernel matrix between points x (P, m) and the sources[cols], in x's dtype."""
-        src = self.sources[cols].astype(x.dtype)
+        """Kernel matrix between points x (..., P, m) and the sources[cols], in x's dtype.
+
+        A stack's points x (S, P, m) pair with its sources (S, N, m).
+        """
+        return self._kernel_matrix(x, self.sources[cols].astype(x.dtype))
+
+    def _kernel_matrix(self, x, src):
+        """Kernel matrix between points x (..., P, m) and centres src (..., N, m)."""
         if self.tensor:
             return _tensor_matrix(self.kernel, x, src)
         return eval_radial(self.kernel, np.sqrt(squared_distances(x, src)))
@@ -242,11 +268,22 @@ class _Problem:
                                & (self.sources <= x.max(0) + reach)).all(1))
 
     def build(self, dtype):
-        """The (N+U) x (N+U) saddle matrix [[M, Q], [Q^T, 0]] (M alone when U = 0)."""
+        """The saddle matrix [[M, Q], [Q^T, 0]] (M alone when U = 0), (..., N+U, N+U).
+
+        A stack is assembled at once: its kernel blocks M come from the
+        shared block in one gather, or from one kernel evaluation, and its
+        tails Q from one monomial_matrix.  Kernel values and monomials are
+        elementwise, so each system carries the bits of its own assembly.
+        A stack of one is assembled as its single system, so a tensor
+        product keeps evaluating its axis factors per distinct coordinate.
+        """
         src = self.sources.astype(dtype)
         m_mat = None if self.shared is None else self.shared.take(self.index, self.index, dtype)
         if m_mat is None:
-            m_mat = self.kernel_rows(src)
+            if src.ndim == 3 and len(src) == 1:
+                m_mat = self._kernel_matrix(src[0], src[0])[None]
+            else:
+                m_mat = self._kernel_matrix(src, src)
         if self.tail_degree is None:
             return m_mat
         return _precision._saddle(m_mat, monomial_matrix(src, self.tail_degree))
@@ -288,49 +325,56 @@ def _condition_from_lu(matrix, lu_piv):
     return float(np.abs(matrix).sum(0).max() * np.abs(inv).sum(0).max())
 
 
+# LAPACK getrf of one float64 matrix, returning (LU, pivots, info): the call
+# scipy.linalg.lu_factor makes, without its wrapper.  Looked up by this name at
+# call time, so perfbench's tracer can time it.
+lu_factor = dgetrf
+
+
 def _factor64(a):
     """float64 LU factors of a, or None where LAPACK fails or leaves a zero pivot."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            lu_piv = lu_factor(a, check_finite=False)
-        except ValueError:
-            return None
-        return None if np.abs(np.diag(lu_piv[0])).min() == 0.0 else lu_piv
+    lu, piv, info = lu_factor(a)
+    if info < 0 or np.abs(np.diag(lu)).min() == 0.0:
+        return None
+    return lu, piv
 
 
-def _solve_stack(problems, rhs, context: str):
-    """Solve equally sized systems on the float64 -> 80-bit -> double-double ladder.
+def _solve_stack(problem: _Problem, rhs, context: str):
+    """Solve a stack of S equally sized systems on the float64 -> 80-bit -> double-double ladder.
 
-    rhs is (S, N+U, m), one right-hand side per problem.  float64 factors
-    system by system and refines the stack; the systems it rejects go on
-    as one 80-bit stack, and those the 80-bit rung rejects as one
-    double-double stack.  Returns one (solution, interpolation residual,
-    condition estimate, precision tag) per system.  Raises SolveError, with
-    ``index`` naming the first such system, when even the top rung leaves
-    a system's interpolation conditions violated (numerically singular).
+    problem is the stack (sources (S, N, m)) and rhs is (S, N+U, m).  The
+    float64 stack is assembled once.  float64 factors it system by system
+    and refines the stack, on the assembled stack itself when every system
+    factors.  The systems it rejects are assembled once more as one 80-bit
+    stack, and those the 80-bit rung rejects go on as one double-double
+    stack.  Returns one (solution, interpolation residual, condition
+    estimate, precision tag) per system.  Raises SolveError, with ``index``
+    naming the first such system, when even the top rung leaves a system's
+    interpolation conditions violated (numerically singular).
     """
-    n_interp = problems[0].n
+    n_interp = problem.n
+    count = len(rhs)
     scale = np.maximum(1.0, np.abs(rhs[:, :n_interp]).max(axis=(1, 2)))
-    matrices = [problem.build(np.dtype(float)) for problem in problems]
+    matrices = problem.build(np.dtype(float))
     factors = [_factor64(a) for a in matrices]
     conds = [_condition_from_lu(a, lu_piv) for a, lu_piv in zip(matrices, factors)]
-    lower = [(None, np.inf)] * len(problems)      # float64 (solution, residual)
-    solved = [None] * len(problems)
+    lower = [(None, np.inf)] * count      # float64 (solution, residual)
+    solved = [None] * count
     ok = [i for i, lu_piv in enumerate(factors) if lu_piv is not None]
     if ok:
+        rows = slice(None) if len(ok) == count else ok
         ok_factors = [factors[i] for i in ok]
-        z64, res64 = _refined_solve(np.stack([matrices[i] for i in ok]).__matmul__,
+        z64, res64 = _refined_solve(matrices[rows].__matmul__,
                                     lambda b: _lu_solve_stack(ok_factors, b),
-                                    rhs[ok], n_interp, 2)
+                                    rhs[rows], n_interp, 2)
         for i, z, res in zip(ok, z64, res64):
             lower[i] = (z, res)
             if res <= ESCALATE_THRESHOLD * scale[i]:
                 solved[i] = (z, res, conds[i], "double")
     rest = [i for i, done in enumerate(solved) if done is None]
-    extended = [(None, np.inf)] * len(problems)   # 80-bit (solution, residual)
+    extended = [(None, np.inf)] * count   # 80-bit (solution, residual)
     if rest and LONGDOUBLE_IS_EXTENDED:
-        a_ext = np.stack([problems[i].build(np.longdouble) for i in rest])
+        a_ext = problem[rest].build(np.longdouble)
         lu_ext, order = _precision.lu_extended(a_ext)
         z_ext, res_ext = _refined_solve(
             a_ext.__matmul__, lambda b: _precision.lu_solve_extended(lu_ext, order, b),
@@ -340,9 +384,8 @@ def _solve_stack(problems, rhs, context: str):
             if res <= min(MP_THRESHOLD * scale[i], lower[i][1]):
                 solved[i] = (z, res, conds[i], "longdouble")
     top = [i for i in rest if solved[i] is None]
-    problem = problems[0]
     mp = [] if not top else _precision.mp_solve(
-        problem.kernel, problem.tensor, np.stack([problems[i].sources for i in top]),
+        problem.kernel, problem.tensor, problem.sources[top],
         problem.tail_degree, problem.exponents, rhs[top])
     for i, (coef_mp, res_mp) in zip(top, mp):
         (z, res), (z_ext, res_ext) = lower[i], extended[i]
@@ -360,7 +403,7 @@ def _solve_stack(problems, rhs, context: str):
 
 def _solve_dense(problem: _Problem, rhs, context: str):
     """Solve one system on the precision ladder: the stack of one of _solve_stack."""
-    return _solve_stack([problem], rhs[None], context)[0]
+    return _solve_stack(problem[None], rhs[None], context)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -476,33 +519,43 @@ def solve_transform(kernel, landmarks: LandmarkSet, neighborhoods=None):
     integer array of indices into ``landmarks`` (Shepard's nodal
     neighbourhoods), solves the S systems over ``landmarks.subset(row)`` as
     one stack per precision rung: a list of S transforms comes back, and a
-    SolveError's ``index`` names the row that failed.  Where
-    _landmark_block allows it, those systems gather their kernel blocks
-    from one landmarks x landmarks block.
+    SolveError's ``index`` names the row that failed.  The array is checked
+    in one pass, and its first bad row raises the error ``subset`` raises
+    for it.  The S subsets, the stacked sources and the right-hand sides
+    are then cut from ``landmarks`` by one fancy index each.  Where
+    _landmark_block allows it, the systems gather their kernel blocks from
+    one landmarks x landmarks block.
     """
     if isinstance(kernel, LobachevskySpline) and kernel.n % 2 != 0:
         raise ValueError("tensor-product transforms need an even spline order n")
     degree = polynomial_tail_degree(kernel)
     if neighborhoods is None:
-        sets, index, shared = [landmarks], [None], None
+        index = shared = None
+        sources, targets = landmarks.sources[None], landmarks.targets[None]
     else:
         index = np.asarray(neighborhoods)
         if index.ndim != 2 or not index.size:
             raise ValueError("neighborhoods must be a non-empty (S, K) array of landmark indices")
-        sets = [landmarks.subset(row) for row in index]
+        landmarks._check_rows(index)
+        sources, targets, quasi = (arr[index] for arr in
+                                   (landmarks.sources, landmarks.targets, landmarks.quasi))
         shared = _landmark_block(kernel, landmarks, index.shape[1])
-    n, dim = sets[0].n, sets[0].dimension
+    count, n, dim = sources.shape
     u = tail_dimension(dim, degree)
     if u and u >= n:
         raise ValueError(
             f"polynomial tail needs more landmarks: U = {u} must be < N = {n}"
         )
-    problems = [_Problem(kernel, lm.sources, degree, shared, idx) for lm, idx in zip(sets, index)]
-    rhs = np.array([np.vstack([lm.targets, np.zeros((u, dim))]) for lm in sets])
-    tensor = problems[0].tensor
-    kind = TensorProductTransform if tensor else GlobalRadialTransform
-    context = type(kernel).__name__ + (" tensor" if tensor else "")
+    stack = _Problem(kernel, sources, degree, shared, index)
+    rhs = np.zeros((count, n + u, dim))
+    rhs[:, :n] = targets
+    kind = TensorProductTransform if stack.tensor else GlobalRadialTransform
+    context = type(kernel).__name__ + (" tensor" if stack.tensor else "")
     if neighborhoods is None:
-        return kind(problems[0], landmarks, *_solve_dense(problems[0], rhs[0], context))
-    return [kind(problem, lm, *result) for problem, lm, result
-            in zip(problems, sets, _solve_stack(problems, rhs, context))]
+        problem = stack[0]
+        return kind(problem, landmarks, *_solve_dense(problem, rhs[0], context))
+    for arr in (sources, targets, quasi):
+        arr.setflags(write=False)
+    sets = map(LandmarkSet._unchecked, sources, targets, quasi)
+    return [kind(stack[i], lm, *result)
+            for i, (lm, result) in enumerate(zip(sets, _solve_stack(stack, rhs, context)))]

@@ -57,16 +57,22 @@ def test_record_holds_each_nodal_interpolant_of_a_shepard_operation():
     assert ",".join(rungs) == str(fields["rung"])
     top = fields[f"nodal{rungs.index('mp')}_solution"]     # double-double: hi and lo words
     assert top.dtype == np.float64 and top.shape[0] == 2 and top.shape[2] == 2
+    assert fields["nodal_center"].shape == (n, 2) and fields["nodal_center"].dtype == np.float64
 
 
 def test_record_dense_holds_the_three_scale_dense_transforms():
-    records = dict(load_tool().record_dense())
+    tool = load_tool()
+    records = dict(tool.record_dense())
     assert list(records) == ["wendland", "tps", "shepard-tps"]
-    for fields in records.values():
-        assert set(fields) == {"grid", "landmarks", "residual", "condition"}
+    for method, fields in records.items():
+        shepard = {"nodal_center"} if method == "shepard-tps" else set()
+        assert set(fields) == {"grid", "landmarks", "residual", "condition"} | shepard
         assert fields["grid"].shape == (141 * 141, 2) and fields["landmarks"].shape == (1000, 2)
         assert fields["residual"].shape == fields["condition"].shape == ()
         assert all(array.dtype == np.float64 for array in fields.values())
+    shepard = records["shepard-tps"]
+    _, targets = tool._workloads().dense_landmarks(tool.DENSE_SEED)
+    assert np.abs(shepard["nodal_center"] - targets).max() == shepard["residual"]
 
 
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -443,13 +445,13 @@ def test_nodes_that_weigh_no_point_and_tiny_inputs(shared_blocks):
 
 
 def taken_blocks(monkeypatch):
-    """(rows, cols, dtype, taken) of every sub-block asked of a shared landmark block."""
+    """(rows shape, cols shape, dtype, taken) of every sub-block asked of a shared landmark block."""
     taken = []
     take = SharedKernelBlock.take
 
     def spy(self, rows, cols, dtype):
         block = take(self, rows, cols, dtype)
-        taken.append((len(rows), len(cols), np.dtype(dtype), block is not None))
+        taken.append((np.shape(rows), np.shape(cols), np.dtype(dtype), block is not None))
         return block
 
     monkeypatch.setattr(SharedKernelBlock, "take", spy)
@@ -462,6 +464,7 @@ def test_shared_nodal_block_is_bitwise_per_system_assembly(monkeypatch, case, me
     landmarks, _, _ = gen_case(CaseSpec(case))
     taken = taken_blocks(monkeypatch)
     t = build_method(method, landmarks, case, value)
+    fit = list(taken)
     n_l = len(t.nodal[0].neighbors)
     for nf in t.nodal:
         problem = nf.interpolant._problem
@@ -471,13 +474,18 @@ def test_shared_nodal_block_is_bitwise_per_system_assembly(monkeypatch, case, me
         if problem.shared is not None:
             assert_same_bits(problem.shared.take([nf.center], nf.neighbors, float),
                              alone.kernel_rows(landmarks.sources[[nf.center]]))
-    residual = max(np.abs(nf.interpolant(landmarks.sources[nf.center])
-                          - landmarks.targets[nf.center]).max() for nf in t.nodal)
-    assert t.residual == residual
+    assert_center_values_per_node(t)
     shared = landmarks.n <= n_l * n_l
     assert shared == (case != "circle-contract")            # N_L = 5 there: 60 > 25
     assert all(got for *_, got in taken) and bool(taken) == shared
-    if shared:          # the transform drops the blocks once it has read its centre values
+    if shared:
+        # the fit gathers stacks only: the float64 assembly of all N systems first,
+        # then per rung at most one more assembly and one gather of centre rows
+        assert fit[0][:3] == ((landmarks.n, n_l), (landmarks.n, n_l), np.dtype(float))
+        for rows, cols, dtype, _ in fit:
+            assert len(rows) == len(cols) == 2 and rows[0] == cols[0] and cols[1] == n_l
+            assert rows[1] in (1, n_l)
+        assert all(count <= 2 for count in Counter(dtype for _, _, dtype, _ in fit).values())          # the transform drops the blocks once it has read its centre values
         fresh = build_method(method, landmarks, case, value)
         assert not fresh.nodal[0].interpolant._problem.shared._blocks
 
@@ -500,12 +508,31 @@ def test_large_landmark_sets_refuse_the_shared_nodal_block(monkeypatch):
     taken = taken_blocks(monkeypatch)
     t = build_shepard_transform(lm, ShepardConfig(ThinPlateSpline(), n_l=25, n_w=25))
     assert built == [None] and taken == []
-    assert t.residual < 1e-10
+    assert t.residual < 1e-10 and rungs(t) == {"double"}
+    assert_center_values_per_node(t)
     # N = 600 <= 25^2: the float64 block fits CHUNK_BYTES, an x87 80-bit one does not
     mid = transform._landmark_block(Gaussian(1.0), lm.subset(np.arange(600)), 25)
     assert mid.dtypes == {np.dtype(d) for d in (float, np.longdouble)
                           if 600 * 600 * np.dtype(d).itemsize <= CHUNK_BYTES}
     assert transform._landmark_block(Gaussian(1.0), lm.subset(np.arange(600)), 24) is None
+
+
+def assert_center_values_per_node(t):
+    """_center_values carries the bits of each node's own evaluation at its centre."""
+    centers = shepard._center_values(t.nodal, t.landmarks)
+    for nf, value in zip(t.nodal, centers):
+        assert_same_bits(value, nf.interpolant(t.landmarks.sources[nf.center]))
+    assert t.residual == np.abs(centers - t.landmarks.targets).max()
+
+
+@pytest.mark.parametrize("case, mp_nodes", [("square-shift-64", 0), ("square-scale-64", 4)])
+def test_center_values_of_80bit_and_double_double_nodes_are_each_nodes_own(case, mp_nodes):
+    landmarks, _, _ = gen_case(CaseSpec(case))
+    t = build_method("shep-g", landmarks, case, 2.0)
+    precisions = [nf.interpolant.precision for nf in t.nodal]
+    assert precisions.count("mp") == mp_nodes
+    assert precisions.count("longdouble") == landmarks.n - mp_nodes
+    assert_center_values_per_node(t)
 
 
 def test_rho_must_be_a_positive_finite_real():

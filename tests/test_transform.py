@@ -308,6 +308,26 @@ def test_neighborhoods_must_be_a_nonempty_index_array():
             solve_transform(Gaussian(1.0), lm, bad)
     with pytest.raises(ValueError, match="coincide"):
         solve_transform(Gaussian(1.0), lm, [[0, 1, 0]])
+    # the rows are checked at once, and the first bad one raises subset's error for it
+    for rows, first in (([[0, 1, 2], [3, 4, 3]], 1),                 # a valid row, then a repeat
+                        ([[5, 6, 7], [0, 1, 2], [4, 16, 1]], 2),     # out of range in the last row
+                        ([[0, 1, 0], [-1, 2, 3]], 0),
+                        ([[0, 1, 2], [2, -1, 2]], 1),               # range before repeat, as subset
+                        ([[1, 5, 9, 5, 1]], 0),
+                        (np.array([[2, 9, 4], [7, 1, 7]], dtype=np.int32), 1),
+                        (np.array([[2, 9, 4], [3, 16, 1]], dtype=np.uint16), 1)):
+        index = np.asarray(rows)
+        with pytest.raises(ValueError) as want:
+            lm.subset(index[first])
+        with pytest.raises(ValueError) as got:
+            solve_transform(Gaussian(1.0), lm, index)
+        assert str(got.value) == str(want.value)
+    rows = np.array([[0, 5, 10, 15], [3, 2, 1, 0]])
+    wide = solve_transform(Gaussian(1.0), lm, rows)
+    for dtype in (np.int32, np.uint16):
+        for t, want in zip(solve_transform(Gaussian(1.0), lm, rows.astype(dtype)), wide):
+            assert np.array_equal(t._z, want._z) and t.residual == want.residual
+            assert np.array_equal(t.landmarks.sources, want.landmarks.sources)
     with pytest.raises(ValueError, match="polynomial tail"):
         solve_transform(ThinPlateSpline(), lm, [[0, 1, 2], [3, 4, 5]])
     with pytest.raises(ValueError, match="even spline order"):

@@ -19,11 +19,13 @@ checkout, with the landreg to record on the path:
 ``dump`` records, per operation, the grid output, the transform's values at
 the source landmarks, the landmark residual, the condition estimate and the
 rung it was accepted at, or the error message of a solve that failed.  A
-Shepard transform records its nodal rungs joined as its rung, and every
+Shepard transform records its nodal rungs joined as its rung, every
 nodal interpolant's own solution (coefficients and tail, in the precision
 of its rung; a double-double one as its stacked hi and lo words), residual,
-condition estimate and rung.  A scale-dense transform records its grid
-output, landmark values, residual and condition estimate.  ``compare``
+condition estimate and rung, and the centre values L_j(x_j) its residual is
+the maximum over.  A scale-dense transform records its grid output,
+landmark values, residual and condition estimate, and the Shepard one its
+centre values too.  ``compare``
 lists every field whose bits differ, or that only one file has, and exits 1
 if there is any; it needs numpy only.  For a float field of one shape in
 both files it also prints max |a - b| and max |a|, so a change meant to
@@ -70,8 +72,21 @@ def _solution(interpolant) -> np.ndarray:
     return np.stack([z.hi, z.lo]) if interpolant.precision == "mp" else z
 
 
+def _center_values(transform) -> np.ndarray:
+    """L_j(x_j) of every node of a Shepard transform, as it computes them for its residual.
+
+    A landreg from before ``shepard._center_values`` has the per-node
+    ``_center_value``, so a dump of it can be compared with a newer one.
+    """
+    from landreg import shepard
+    nodal, landmarks = transform.nodal, transform.landmarks
+    if hasattr(shepard, "_center_values"):
+        return shepard._center_values(nodal, landmarks)
+    return np.array([shepard._center_value(nf, landmarks) for nf in nodal])
+
+
 def _nodal_fields(transform) -> dict:
-    """Each nodal interpolant's solution, residual, condition and rung."""
+    """Each nodal interpolant's solution, residual, condition and rung, and every centre value."""
     nodal = [nf.interpolant for nf in getattr(transform, "nodal", ())]
     if not nodal:
         return {}
@@ -79,6 +94,7 @@ def _nodal_fields(transform) -> dict:
     fields["nodal_residual"] = np.array([t.residual for t in nodal])
     fields["nodal_condition"] = np.array([t.condition for t in nodal])
     fields["nodal_rung"] = np.array([t.precision for t in nodal])
+    fields["nodal_center"] = _center_values(transform)
     return fields
 
 
@@ -119,12 +135,15 @@ def record_dense():
     landmarks = LandmarkSet(sources, targets)
     for method, build in workloads.dense_methods(landmarks.n):
         transform = build(landmarks)
-        yield method, {
+        fields = {
             "grid": transform(grid),
             "landmarks": transform(landmarks.sources),
             "residual": np.array(transform.residual),
             "condition": np.array(transform.condition),
         }
+        if hasattr(transform, "nodal"):
+            fields["nodal_center"] = _center_values(transform)
+        yield method, fields
 
 
 def record_regcli():
