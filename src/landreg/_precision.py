@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._dd import DDArray
+from ._dd import DDArray, _new
 from .kernels import Gaussian, Wendland1D, _radial, _univariate
 from .landmarks import distinct_axes, squared_distances
 from .lobachevsky import LobachevskySpline, _spline
@@ -200,16 +200,23 @@ def lu_dd(a):
     pivot skips that system's step.  Returns (LU DDArray, row order (S, n)).
     """
     s, n, _ = a.shape
-    lu, order, every = a.copy(), np.tile(np.arange(n), (s, 1)), np.arange(s)
+    # high words, low words and the row order side by side, so one swap moves all three
+    work = np.empty((s, n, 2 * n + 1))
+    work[:, :, :n], work[:, :, n:2 * n], work[:, :, 2 * n] = a.hi, a.lo, np.arange(n)
+    lu = _new(work[:, :, :n], work[:, :, n:2 * n])
+    rows = work.reshape(s * n, 2 * n + 1)
+    row_k = np.arange(0, s * n, n)           # each system's row k in rows
     for k in range(n - 1):
-        p = k + np.abs(lu.hi[:, k:, k]).argmax(axis=1)
-        for rows in (lu.hi, lu.lo, order):
-            rows[every, k], rows[every, p] = rows[every, p], rows[every, k]
+        p = np.abs(lu.hi[:, k:, k]).argmax(axis=1)
+        if np.count_nonzero(p):
+            pair = np.array((row_k, row_k + p))
+            rows[pair] = rows[pair[::-1]]
+        row_k += 1
         pivot = lu[:, k, k]
         live = slice(None) if np.count_nonzero(pivot.hi) == s else np.flatnonzero(pivot.hi)
         lu[live, k + 1:, k] /= pivot[live, None]
         lu[live, k + 1:, k + 1:] -= lu[live, k + 1:, k, None] * lu[live, k, None, k + 1:]
-    return lu, order
+    return lu, work[:, :, 2 * n].astype(np.intp)
 
 
 def lu_solve_dd(lu, order, rhs):

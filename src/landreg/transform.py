@@ -34,7 +34,7 @@ from itertools import combinations_with_replacement
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dlange
 
 from . import _precision
 from ._precision import _refined_solve
@@ -317,12 +317,21 @@ def _lu_solve_stack(factors, b):
 
 
 def _condition_from_lu(matrix, lu_piv):
+    """1-norm condition estimate of a float64 matrix from its LU factors (LAPACK dgecon).
+
+    Hager's estimator as refined by Higham (ACM TOMS 14, 1988): O(n^2) on
+    the factors _factor64 made, against O(n^3) for the inverse.  It is a
+    lower bound on ||A||_1 ||A^-1||_1.  Above ILL_CONDITIONED it carries no
+    digits.  inf where there are no factors (a zero pivot) and where the
+    estimate is zero or not finite, as for a matrix with a NaN or inf entry.
+    """
     if lu_piv is None:
         return np.inf
-    inv = _lu_solve(lu_piv, np.eye(matrix.shape[0]))
-    if not np.isfinite(inv).all():
+    # ||A||_1 is the max-row-sum norm of A^T, which is Fortran-ordered: LAPACK reads it in place
+    rcond, info = dgecon(lu_piv[0], dlange("I", matrix.T), norm="1")
+    if info or not rcond > 0.0:
         return np.inf
-    return float(np.abs(matrix).sum(0).max() * np.abs(inv).sum(0).max())
+    return 1.0 / rcond
 
 
 # LAPACK getrf of one float64 matrix, returning (LU, pivots, info): the call
@@ -414,7 +423,9 @@ class Transformation:
 
     Attributes shared by all kinds: ``kind``, ``landmarks``, ``residual``
     (max landmark interpolation error recorded at construction),
-    ``condition`` (estimate for the solved system), ``ill_conditioned``.
+    ``condition`` (LAPACK's 1-norm estimate from the float64 LU of the solved
+    system, a lower bound that carries no digits above 1e16), and
+    ``ill_conditioned`` (condition above 1e16).
     """
 
     kind = "abstract"

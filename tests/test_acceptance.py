@@ -215,8 +215,8 @@ def test_criterion_07_conditioning_reproduction():
     cond_gauss = solve_transform(Gaussian(0.2), landmarks).condition
     cond_wendland = solve_transform(WendlandRadial(2, 1, 0.5), landmarks).condition
     ok = cond_gauss > 1e12 and cond_gauss / cond_wendland >= 1e6
-    report(7, "flat Gaussian condition > 1e12 and >= 1e6 x the Wendland c=0.5 "
-              "condition on the 36-landmark shift case",
+    report(7, "flat Gaussian condition estimate > 1e12 and >= 1e6 x the Wendland "
+              "c=0.5 estimate on the 36-landmark shift case",
            ok, f"gauss={cond_gauss:.2e}, wendland={cond_wendland:.2e}")
 
 

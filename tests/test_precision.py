@@ -397,6 +397,12 @@ def test_stacked_dd_lu_pivots_each_system_on_its_own_rows():
     assert len({tuple(o) for o in order}) > 1
 
 
+def test_stacked_dd_lu_of_a_stack_that_never_pivots():
+    a = np.random.default_rng(4).standard_normal((3, 9, 9)) + 20.0 * np.eye(9)
+    _, order = check_dd_against_row_loops(DDArray(a) / 3.0, np.random.default_rng(4))
+    assert (order == np.arange(9)).all()
+
+
 @pytest.mark.parametrize("make_singular", [
     lambda m: m.__setitem__(4, m[2]),                        # two equal rows: the last pivot is 0
     lambda m: m.__setitem__((slice(None), 2), 0.0),          # a zero column: step 2's pivot is 0

@@ -8,7 +8,7 @@ stays radial.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landreg import _precision, transform
@@ -58,15 +58,28 @@ def rounding_bound(kernel, x, centers, coef, unit):
     """A rounding-level bound on |product - radial| at each point: u Sum_j (1 + a^2 r^2) |K| |c|.
 
     Each exp argument a^2 r^2 carries a few roundings, relative to itself,
-    so each kernel value a few relative to 1 + a^2 r^2.
+    so each kernel value a few relative to 1 + a^2 r^2.  A term K c below
+    the normal range rounds with an absolute error of up to half a
+    subnormal, which no relative term covers (the relative bound itself
+    underflows to 0 there), so each of the N terms adds a few smallest
+    subnormals.
     """
     y = kernel.alpha ** 2 * ((x[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
     k = np.exp(-y)
-    return 16 * unit * ((1.0 + y) * k) @ np.abs(coef)
+    underflow = 4 * len(centers) * np.finfo(float).smallest_subnormal
+    return 16 * unit * ((1.0 + y) * k) @ np.abs(coef) + underflow
+
+
+# The two forms' products K c are subnormal here (about 7e-311), and at the
+# second point they differ by one subnormal, 5e-324, where the relative bound is 0.
+SUBNORMAL_TERM = (Gaussian(alpha=1.455723546698458),
+                  np.array([[1.25, 0.0, 0.0], [1.25, 0.0, 0.19921875]]),
+                  np.array([[-0.90625, 0.0, 0.0]]), np.array([1.3922227699999503e-306]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(gaussian_problems(), st.sampled_from([np.float64, np.longdouble]))
+@example(SUBNORMAL_TERM, np.float64)
 def test_product_form_matches_the_radial_form_in_float64_and_80_bit(problem, dtype):
     kernel, x, centers, coef = problem
     xd = x.astype(dtype)

@@ -3,16 +3,18 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from landreg import bench
 from landreg.bench import CaseSpec, build_method, gen_case
 from landreg.kernels import (Gaussian, ThinPlateSpline, Wendland1D,
                              WendlandRadial, polynomial_tail_degree)
 from landreg.landmarks import LandmarkSet
 from landreg.lobachevsky import LobachevskySpline
-from landreg.transform import (SolveError, TensorProductTransform, _Problem,
-                               monomial_exponents, monomial_matrix,
+from landreg.transform import (SolveError, TensorProductTransform, _condition_from_lu,
+                               _factor64, _Problem, monomial_exponents, monomial_matrix,
                                solve_transform)
 
 
@@ -269,6 +271,71 @@ def test_condition_estimate_trivial_cases():
     eye_lm = LandmarkSet(src, src + 0.1)
     assert np.array_equal(saddle_matrix(WendlandRadial(2, 1, 5.0), eye_lm), np.eye(5))
     assert solve_transform(WendlandRadial(2, 1, 5.0), eye_lm).condition == pytest.approx(1.0)
+
+
+def inverse_condition(matrix):
+    """||A||_1 ||A^-1||_1 from the explicit inverse by the float64 LU: the estimate's oracle."""
+    inv = scipy.linalg.lu_solve(scipy.linalg.lu_factor(matrix), np.eye(len(matrix)))
+    return float(np.abs(matrix).sum(0).max() * np.abs(inv).sum(0).max())
+
+
+SEED_VALUES = {"alpha": (0.2, 0.4, 1.2, 2.0), "c": (0.1, 0.2, 0.6, 1.0), None: (None,)}
+
+
+def test_condition_estimate_is_within_8x_below_the_inverse_on_the_seed_cases():
+    checked = 0
+    for kind in bench.CASE_KINDS:
+        landmarks, _, _ = gen_case(CaseSpec(kind))
+        for method, param in bench.METHOD_PARAMETERS.items():
+            if method.startswith("shep-"):
+                continue
+            for value in SEED_VALUES[param]:
+                t = build_method(method, landmarks, kind, value)
+                kappa = inverse_condition(t._problem.build(float))
+                if kappa < 1e10:
+                    assert kappa / 8 <= t.condition <= 1.01 * kappa, (method, kind, value)
+                    checked += 1
+    assert checked > 100
+
+
+@st.composite
+def conditioned_problems(draw):
+    """A TPS, Wendland or Gaussian (alpha >= 1) kernel and landmarks on a jittered 1-3-D lattice.
+
+    The lattice has unit spacing, and no two landmarks are closer than 0.3.
+    """
+    m = draw(st.integers(1, 3))
+    side = draw(st.integers(3 if m == 1 else 2, {1: 12, 2: 5, 3: 3}[m]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cells = np.stack(np.meshgrid(*[np.arange(side)] * m, indexing="ij"), -1).reshape(-1, m)
+    src = cells + rng.uniform(-0.35, 0.35, cells.shape)
+    c = st.floats(0.3, 3.0)
+    kernel = draw(st.one_of(st.just(ThinPlateSpline()),
+                            st.builds(WendlandRadial, st.just(3), st.integers(0, 3), c),
+                            st.builds(Wendland1D, st.integers(0, 3), c),
+                            st.builds(Gaussian, st.floats(1.0, 8.0))))
+    return kernel, LandmarkSet(src, src[::-1].copy())
+
+
+@settings(max_examples=80, deadline=None)
+@given(conditioned_problems())
+def test_condition_estimate_is_a_lower_bound(problem):
+    kernel, lm = problem
+    t = solve_transform(kernel, lm)
+    kappa = inverse_condition(t._problem.build(float))
+    if kappa < 1e10:
+        assert t.condition <= (1 + 1e-6) * kappa
+
+
+def test_condition_estimate_is_inf_without_factors_or_with_nonfinite_entries():
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    assert _factor64(singular) is None and _condition_from_lu(singular, None) == math.inf
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.array([[2.0, bad], [1.0, 3.0]])
+        assert _condition_from_lu(a, _factor64(a)) == math.inf
+    # finite factors whose reciprocal condition underflows to 0
+    wide = np.diag([1e-300, 1e300])
+    assert _condition_from_lu(wide, _factor64(wide)) == math.inf
 
 
 def test_flat_gaussian_is_ill_conditioned_but_solvable():
