@@ -140,33 +140,54 @@ def _wendland_poly(group: int, h: int, u):
     return (1.0 - u) ** 8 * (32.0 * u ** 3 + 25.0 * u * u + 8.0 * u + 1.0)
 
 
-def _wendland_value(group: int, h: int, c: float, r):
+def _wendland_value(group: int, h: int, c: float, r, work=None):
     """The Wendland function of u = c r: the polynomial on [0, 1), exact zeros beyond.
 
-    u >= 1 is clamped to 1, where every polynomial is exactly +0, because a
-    negative base 1 - u sends pow down its slow path (about 150 ns an entry
-    in float64).  An array wholly inside the support skips the clamp's copy.
+    u goes into work where given.  u >= 1 is clamped to 1 in place, where
+    every polynomial is exactly +0, because a negative base 1 - u sends pow
+    down its slow path (about 150 ns an entry in float64).
     """
-    u = c * r
+    u = np.multiply(r, c, out=work)
     inside = u < 1.0
     if not inside.all():
-        u = np.where(inside, u, 1.0)
+        u[~inside] = 1.0
     return _wendland_poly(group, h, u)
 
 
-def _radial(kernel: RadialKernel, r):
-    """Phi(r) in the precision of the array r."""
+def _square(r, out=None):
+    """r * r, into out where given: numpy's one-input square loop for an ndarray, same bits."""
+    return np.square(r, out=out) if isinstance(r, np.ndarray) else r * r
+
+
+def _radial(kernel: RadialKernel, r, work=None):
+    """Phi(r) in the precision of the array r.
+
+    Each formula runs its first step into work (a new array without it) and
+    the rest in place, in the order of the plain expression, so the bits are
+    the same; Wendland's polynomial of u = c r then makes new arrays.  With
+    work, r is overwritten too: the thin plate spline takes log r there.  A
+    DDArray takes no work; its steps make new arrays.
+    """
     if isinstance(kernel, Gaussian):
-        return np.exp(-(kernel.alpha * kernel.alpha) * r * r)
+        out = np.multiply(r, -(kernel.alpha * kernel.alpha), out=work)
+        out *= r
+        return np.exp(out, out=out if isinstance(out, np.ndarray) else None)
     if isinstance(kernel, ThinPlateSpline):
+        zero = ~(r > 0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = r * r * np.log(r)
-        return np.where(r > 0, out, 0.0)
+            out = _square(r, work)
+            out *= np.log(r, out=None if work is None else r)
+        if zero.any():
+            out[zero] = 0.0
+        return out
     if isinstance(kernel, GeneralizedMultiquadric):
-        return (r * r + kernel.gamma * kernel.gamma) ** (kernel.mu / 2.0)
+        out = _square(r, work)
+        out += kernel.gamma * kernel.gamma
+        out **= kernel.mu / 2.0
+        return out
     if isinstance(kernel, WendlandRadial):
         group = 1 if kernel.m == 1 else 2
-        return _wendland_value(group, kernel.h, kernel.c, r)
+        return _wendland_value(group, kernel.h, kernel.c, r, work)
     raise KernelError(f"unknown radial kernel {kernel!r}")
 
 
@@ -175,15 +196,21 @@ def _univariate(kernel: Wendland1D, x):
     return _wendland_value(1, kernel.h, kernel.c, np.abs(x))
 
 
-def eval_radial(kernel: RadialKernel, r):
-    """Evaluate a radial kernel at distance(s) r >= 0, elementwise."""
+def eval_radial(kernel: RadialKernel, r, work=None):
+    """Evaluate a radial kernel at distance(s) r >= 0, elementwise.
+
+    work, a float array of r's shape and dtype, is space for the values:
+    each kernel builds them there (Wendland's, its u = c r), and r may be
+    overwritten.
+    """
     scalar = np.isscalar(r) or np.ndim(r) == 0
-    r = np.asarray(r)
+    r = np.atleast_1d(r)
     if r.dtype.kind != "f":
         r = r.astype(float)
-    if np.any(r < 0):
+    # one pass: fmin passes over NaN, as r < 0 does, and the start 0 covers an empty r
+    if np.fmin.reduce(r, axis=None, initial=0.0) < 0:
         raise ValueError("radial kernels are defined for r >= 0 only")
-    out = _radial(kernel, r)
+    out = _radial(kernel, r, work)
     return out.item() if scalar else out
 
 
@@ -192,7 +219,7 @@ def eval_univariate(kernel: Wendland1D, x):
     if not isinstance(kernel, Wendland1D):
         raise KernelError(f"unknown univariate kernel {kernel!r}")
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.asarray(x)
+    x = np.atleast_1d(x)
     if x.dtype.kind != "f":
         x = x.astype(float)
     out = _univariate(kernel, x)

@@ -27,16 +27,30 @@ def chunk_rows(width: int, itemsize: int = 8) -> int:
     return max(1, CHUNK_BYTES // max(1, width * itemsize))
 
 
-def squared_distances(points, sources):
+def squared_distances(points, sources, axes=None, work=None):
     """(..., P, N) squared Euclidean distances of points (..., P, m) and sources (..., N, m).
 
     In the operands' dtype.  The per-axis squares are added in coordinate
     order, the order of numpy's ``sum(-1)`` over m <= 3, without a (P, N, m) array.
+    axes is distinct_axes(points) of 2-D points, or None.  An axis with its
+    distinct values v takes its squares as rows of the (U, N) table of
+    (v - c_d)^2, built once per value: the same squares, so the same bits.
+    work, a pair of (P, N) arrays of the operands' dtype, holds the sum in
+    work[0] and the squares of each later axis in work[1].
     """
     d2 = None
-    for d in range(points.shape[-1]):
-        diff = points[..., :, None, d] - sources[..., None, :, d]
-        diff *= diff
+    for d, values in enumerate(axes or [None] * points.shape[-1]):
+        into = None if work is None else work[min(d, 1)]
+        if values is None:
+            diff = np.subtract(points[..., :, None, d], sources[..., None, :, d], out=into)
+            diff *= diff
+        else:
+            table = values[:, None] - sources[None, :, d]
+            table *= table
+            # every coordinate is among values, so clip moves no index; it keeps take
+            # from buffering its output, as the default mode does
+            diff = np.take(table, np.searchsorted(values, points[:, d]), axis=0, out=into,
+                           mode="clip")
         if d2 is None:
             d2 = diff
         else:

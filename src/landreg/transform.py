@@ -47,6 +47,9 @@ RESIDUAL_LIMIT = 1e-6        # relative to max(1, |t|_inf); the solve failed bey
 ESCALATE_THRESHOLD = 1e-11   # float64 residual above this retries in 80-bit precision
 MP_THRESHOLD = 1e-7          # 80-bit residual above this retries in double-double
 ILL_CONDITIONED = 1e16       # warning-flag threshold (double-precision cliff)
+# significant digits of a condition estimate: a lower bound within a small factor of
+# the condition number carries fewer, and LAPACK's own wobble sits in the 16th
+CONDITION_DIGITS = 12
 SUPPORT_SLACK = 1e-12        # relative widening of a kernel's support when culling sources
 # the 80-bit rung runs only where np.longdouble carries more digits than float64
 LONGDOUBLE_IS_EXTENDED = np.finfo(np.longdouble).nmant > np.finfo(float).nmant
@@ -232,28 +235,43 @@ class _Problem:
         """
         return self._kernel_matrix(x, self.sources[cols].astype(x.dtype))
 
-    def _kernel_matrix(self, x, src):
-        """Kernel matrix between points x (..., P, m) and centres src (..., N, m)."""
+    def _kernel_matrix(self, x, src, distinct=None, work=None):
+        """Kernel matrix between points x (..., P, m) and centres src (..., N, m).
+
+        A radial kernel's block takes distinct, distinct_axes(x) of a 2-D x,
+        to squared_distances, and is built in work, a pair of (P, N) arrays
+        of x's dtype, where given.
+        """
         if self.tensor:
             return _tensor_matrix(self.kernel, x, src)
-        return eval_radial(self.kernel, np.sqrt(squared_distances(x, src)))
+        d2 = squared_distances(x, src, distinct, work)
+        return eval_radial(self.kernel, np.sqrt(d2, out=d2), None if work is None else work[1])
 
-    def eval_rows(self, x, cols=slice(None)):
-        """kernel_rows for evaluation: a Gaussian takes its product form where it pays.
+    def eval_rows(self, x, cols=slice(None), work=None):
+        """kernel_rows for evaluation of 2-D x, from per-axis tables where they pay.
 
-        exp(-alpha^2 |x - c|^2) = Prod_d exp(-alpha^2 (x_d - c_d)^2).  Where
-        some coordinate of x has at most P/2 distinct values (a grid, or a
-        patch of one), each axis factor is evaluated as a tensor factor, once
-        per distinct value on such an axis.  The values differ from the
+        Where some coordinate of x has at most P/2 distinct values (a grid,
+        or a patch of one), a radial kernel takes that axis's squared
+        distances from a table built once per distinct value, with the bits
+        of kernel_rows.  A Gaussian then takes its product form instead,
+        exp(-alpha^2 |x - c|^2) = Prod_d exp(-alpha^2 (x_d - c_d)^2), each
+        axis factor evaluated as a tensor factor; its values differ from the
         radial form's at rounding level.  Points with no such axis keep the
         radial form: there the product would cost one exp per axis and entry.
+
+        work, a pair of 1-D arrays of x's dtype, each with at least the
+        block's entries, holds the radial block's distances and values: the
+        block returned may be a view of one.
         """
-        if not self.tensor and isinstance(self.kernel, Gaussian):
-            distinct = distinct_axes(x)
-            if any(values is not None for values in distinct):
-                return _tensor_matrix(self.kernel, x, self.sources[cols].astype(x.dtype),
-                                      distinct)
-        return self.kernel_rows(x, cols)
+        if self.tensor:
+            return self.kernel_rows(x, cols)
+        src = self.sources[cols].astype(x.dtype)
+        distinct = distinct_axes(x)
+        if isinstance(self.kernel, Gaussian) and any(values is not None for values in distinct):
+            return _tensor_matrix(self.kernel, x, src, distinct)
+        if work is not None:
+            work = [w[:len(x) * len(src)].reshape(len(x), len(src)) for w in work]
+        return self._kernel_matrix(x, src, distinct, work)
 
     def reaching(self, x):
         """The sources whose support meets the bounding box of x, as an index for kernel_rows.
@@ -324,6 +342,12 @@ def _condition_from_lu(matrix, lu_piv):
     lower bound on ||A||_1 ||A^-1||_1.  Above ILL_CONDITIONED it carries no
     digits.  inf where there are no factors (a zero pivot) and where the
     estimate is zero or not finite, as for a matrix with a NaN or inf entry.
+
+    The estimate is rounded to CONDITION_DIGITS significant digits.  On a
+    large system LAPACK's last digits move from call to call with the
+    heap's layout (n = 1027: in 15-30 % of calls between which small blocks
+    came and went, at one BLAS thread or two).  The rounded value repeats,
+    unless the wobble straddles a rounding boundary: about 1 estimate in 10^4.
     """
     if lu_piv is None:
         return np.inf
@@ -331,7 +355,7 @@ def _condition_from_lu(matrix, lu_piv):
     rcond, info = dgecon(lu_piv[0], dlange("I", matrix.T), norm="1")
     if info or not rcond > 0.0:
         return np.inf
-    return 1.0 / rcond
+    return float(f"{1.0 / rcond:.{CONDITION_DIGITS - 1}e}")
 
 
 # LAPACK getrf of one float64 matrix, returning (LU, pivots, info): the call
@@ -479,6 +503,8 @@ class _SolvedTransform(Transformation):
 
         With more than one chunk, each uses only the sources whose support
         reaches its bounding box; a single chunk is one eval_rows product.
+        A radial kernel's chunks build their blocks in one workspace, two
+        chunk-sized arrays made once per call.
         """
         problem = self._problem
         dtype = np.dtype(np.longdouble if self.precision == "longdouble" else float)
@@ -486,10 +512,13 @@ class _SolvedTransform(Transformation):
         out = np.empty(pts.shape)
         step = chunk_rows(problem.n, dtype.itemsize)
         chunks = range(0, len(x), step)
+        size = min(step, len(x)) * problem.n
+        work = None if problem.tensor else (np.empty(size, dtype), np.empty(size, dtype))
         for start in chunks:
             xc = x[start:start + step]
             cols = problem.reaching(xc) if len(chunks) > 1 else slice(None)
-            out[start:start + step] = self._block_values(xc, problem.eval_rows(xc, cols), cols)
+            block = problem.eval_rows(xc, cols, work)
+            out[start:start + step] = self._block_values(xc, block, cols)
         return out
 
     def _block_values(self, x, block, cols=slice(None)):

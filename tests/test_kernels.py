@@ -146,6 +146,31 @@ def test_negative_distance_rejected():
         eval_radial(Gaussian(1.0), -0.1)
     with pytest.raises(ValueError):
         eval_radial(ThinPlateSpline(), np.array([0.5, -1e-9]))
+    with pytest.raises(ValueError):            # a NaN hides no negative entry
+        eval_radial(ThinPlateSpline(), np.array([np.nan, -1.0]))
+
+
+def test_nan_and_empty_distances_pass_the_sign_check():
+    tps = ThinPlateSpline()
+    assert np.array_equal(eval_radial(tps, np.array([np.nan, 1.0])), [0.0, 0.0])
+    assert np.isnan(eval_radial(Gaussian(1.0), np.array([np.nan]))).all()
+    for shape in ((0,), (0, 3), (2, 0)):
+        assert eval_radial(tps, np.empty(shape)).shape == shape
+
+
+def test_tps_at_zero_is_positive_zero():
+    tps = ThinPlateSpline()
+    zero = eval_radial(tps, 0.0)
+    assert isinstance(zero, float) and zero == 0.0 and math.copysign(1.0, zero) == 1.0
+    r = np.array([[0.0, 0.5], [2.0, 0.0]])
+    want = np.array([[0.0, 0.25 * math.log(0.5)], [4.0 * math.log(2.0), 0.0]])
+    values = eval_radial(tps, r.copy())
+    assert np.array_equal(values, want) and not np.signbit(values).any(where=want == 0)
+    # with a workspace, the values are built in it and r serves as scratch
+    work = np.full_like(r, np.nan)
+    values = eval_radial(tps, r.copy(), work)
+    assert values is work and np.array_equal(values, want)
+    assert not np.signbit(values).any(where=want == 0)
 
 
 def test_invalid_configurations_rejected():
@@ -254,6 +279,33 @@ def test_wendland_support_clamp_keeps_the_bits(group, h):
         got, want = _wendland_value(group, h, 1.0, dd), _unclamped_wendland(group, h, dd)
         assert isinstance(got, DDArray)
         assert _same_bits(got.hi, want.hi) and _same_bits(got.lo, want.lo)
+
+
+# each formula as a plain expression: the in-place evaluation must give its bits
+PLAIN = {
+    Gaussian: lambda k, r: np.exp(-(k.alpha * k.alpha) * r * r),
+    ThinPlateSpline: lambda k, r: np.where(r > 0, r * r * np.log(r), 0.0),
+    GeneralizedMultiquadric: lambda k, r: (r * r + k.gamma * k.gamma) ** (k.mu / 2.0),
+    WendlandRadial: lambda k, r: _unclamped_wendland(1 if k.m == 1 else 2, k.h, k.c * r),
+}
+
+
+@pytest.mark.parametrize("kernel", [Gaussian(0.7), ThinPlateSpline(), WendlandRadial(2, 1, 0.8),
+                                    WendlandRadial(1, 3, 0.3)]
+                         + [GeneralizedMultiquadric(0.7, mu) for mu in (-3, -1, 1, 3, 5)])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_in_place_formulas_keep_the_bits_of_the_plain_expressions(kernel, dtype):
+    rng = np.random.default_rng(4)
+    r = np.concatenate([rng.uniform(0.0, 5.0, 2000),
+                        [0.0, 1.0, 1e-200, 5e-324, 1e160, np.inf, np.nan]]).astype(dtype)
+    with np.errstate(all="ignore"):
+        want = PLAIN[type(kernel)](kernel, r)
+        for work in (None, np.full_like(r, np.nan)):
+            got = eval_radial(kernel, r.copy(), work)
+            assert got.dtype == dtype and _same_bits(got, want)
+        kept = r.copy()
+        eval_radial(kernel, kept)
+    assert _same_bits(kept, r)              # without work, r is left as it was
 
 
 def test_scalar_and_array_shapes():

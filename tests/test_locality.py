@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import landreg.landmarks
 from landreg.bench import CASE_KINDS, CaseSpec, build_method, default_grid, gen_case
 from landreg.kernels import Gaussian, ThinPlateSpline, Wendland1D, WendlandRadial
-from landreg.landmarks import MIN_SEPARATION, LandmarkSet, chunk_rows, k_nearest
+from landreg.landmarks import (CHUNK_BYTES, MIN_SEPARATION, LandmarkSet, chunk_rows,
+                               k_nearest)
 from landreg.shepard import (SNAP_RADIUS, ShepardConfig, build_shepard_transform,
                              nearest_landmarks, node_radii)
 from landreg.transform import monomial_matrix, solve_transform
@@ -340,6 +341,23 @@ def test_dense_wendland_evaluation_memory_is_bounded():
     values, peak = traced_peak(lambda: transform(default_grid(141, 141).points))
     assert np.isfinite(values).all()
     assert peak < 32 * 2 ** 20
+
+
+def test_dense_tps_evaluation_memory_is_one_workspace():
+    """The TPS warp of scale-dense's size holds what its chunk workspace design allows.
+
+    Two blocks of one chunk (CHUNK_BYTES each), one per-axis distance table
+    of at most half a chunk (at most rows / 2 distinct values by N), the
+    kernel's two boolean masks over a block (an eighth of a chunk each),
+    and four (P, m) float64 arrays: points, their copy in the rung's
+    dtype, the output and one spare.
+    """
+    landmarks = dense_lattice()
+    transform = solve_transform(ThinPlateSpline(), landmarks)
+    grid = default_grid(141, 141).points
+    values, peak = traced_peak(lambda: transform(grid))
+    assert np.isfinite(values).all()
+    assert peak < 2 * CHUNK_BYTES + CHUNK_BYTES // 2 + 2 * CHUNK_BYTES // 8 + 4 * grid.nbytes
 
 
 def test_dense_shepard_evaluation_holds_no_points_by_landmarks_array():

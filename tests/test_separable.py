@@ -3,19 +3,20 @@
 Where some coordinate of the evaluation points has at most P/2 distinct
 values, each axis factor is evaluated once per distinct value, at every
 rung.  The product form moves values at rounding level only; assembly
-stays radial.
+stays radial.  The other radial kernels take such an axis's squared
+distances from a table built once per distinct value, bit for bit.
 """
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from landreg import _precision, transform
 from landreg._dd import DDArray
 from landreg.bench import CaseSpec, build_method, gen_case
-from landreg.kernels import Gaussian
-from landreg.landmarks import LandmarkSet
+from landreg.kernels import Gaussian, GeneralizedMultiquadric, ThinPlateSpline, WendlandRadial
+from landreg.landmarks import LandmarkSet, distinct_axes, squared_distances
 from landreg.transform import _Problem, solve_transform
 
 # unit roundoff of each rung; the double-double one allows for its exp
@@ -103,6 +104,61 @@ def test_product_form_matches_the_radial_form_in_double_double(problem):
 
 
 # ---------------------------------------------------------------------------
+# per-axis distance tables
+
+@st.composite
+def table_problems(draw):
+    """Points (P, m) whose axes repeat few or many values, sources, a column cull, a dtype.
+
+    An 80-bit problem moves some coordinates off the float64 numbers, so
+    distinct_axes sorts those axes in longdouble.
+    """
+    m = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dtype = draw(st.sampled_from([np.float64, np.longdouble]))
+    x = np.empty((p, m), dtype)
+    for d in range(m):
+        pool = rng.uniform(-1.5, 1.5, draw(st.integers(1, p))).astype(dtype)
+        if dtype is np.longdouble and draw(st.booleans()):
+            pool += np.longdouble(2.0) ** -60
+        x[:, d] = pool[rng.integers(len(pool), size=p)]
+    sources = rng.uniform(-1.5, 1.5, (draw(st.integers(1, 20)), m))
+    cols = slice(None)
+    if draw(st.booleans()):
+        cols = np.flatnonzero(rng.random(len(sources)) < 0.5)
+        assume(len(cols))
+    return x, sources, cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_problems())
+def test_table_form_of_the_squared_distances_is_the_broadcast_form(problem):
+    x, sources, cols = problem
+    src = sources[cols].astype(x.dtype)
+    axes = distinct_axes(x)
+    want = squared_distances(x, src)
+    assert np.array_equal(squared_distances(x, src, axes), want)
+    work = [np.full(want.shape, np.nan, x.dtype) for _ in range(2)]
+    got = squared_distances(x, src, axes, work)
+    assert np.shares_memory(got, work[0]) and np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_problems(),
+       st.sampled_from([ThinPlateSpline(), GeneralizedMultiquadric(0.7, -1),
+                        GeneralizedMultiquadric(0.7, 3), WendlandRadial(2, 1, 0.8)]))
+def test_evaluation_blocks_from_tables_and_a_workspace_are_the_assembly_blocks(problem, kernel):
+    x, sources, cols = problem
+    problem = _Problem(kernel, sources, None)
+    want = problem.kernel_rows(x, cols)
+    assert np.array_equal(problem.eval_rows(x, cols), want)
+    # a workspace with room to spare, as a chunked evaluation's last chunk has
+    work = [np.full(2 * want.size + 3, np.nan, x.dtype) for _ in range(2)]
+    assert np.array_equal(problem.eval_rows(x, cols, work), want)
+
+
+# ---------------------------------------------------------------------------
 # which form each input takes
 
 def radial_entries(monkeypatch, solved, points):
@@ -110,9 +166,9 @@ def radial_entries(monkeypatch, solved, points):
     sizes = []
     original = transform.eval_radial
 
-    def counting(kernel, r):
+    def counting(kernel, r, *work):
         sizes.append(np.size(r))
-        return original(kernel, r)
+        return original(kernel, r, *work)
 
     with monkeypatch.context() as patch:
         patch.setattr(transform, "eval_radial", counting)
@@ -151,9 +207,9 @@ def test_assembly_stays_radial(monkeypatch):
     sizes = []
     original = transform.eval_radial
 
-    def counting(kernel, r):
+    def counting(kernel, r, *work):
         sizes.append(np.size(r))
-        return original(kernel, r)
+        return original(kernel, r, *work)
 
     monkeypatch.setattr(transform, "eval_radial", counting)
     solve_transform(Gaussian(4.0), LandmarkSet(SOURCES, SOURCES + 0.01))
