@@ -213,6 +213,10 @@ class DDArray:
         return self.hi.shape
 
     @property
+    def ndim(self):
+        return self.hi.ndim
+
+    @property
     def T(self):
         """The transpose of each matrix in the stack: the last two axes swapped."""
         return _new(np.swapaxes(self.hi, -1, -2), np.swapaxes(self.lo, -1, -2))

@@ -11,11 +11,10 @@ significant digits.  A transform solved at a given precision must also be
 *evaluated* at that precision: its huge coefficients turn any lower-precision
 kernel value into O(1) output noise.
 
-The double-double rung runs the kernel formulas of :mod:`landreg.kernels`
-and :mod:`landreg.lobachevsky` on :class:`~landreg._dd.DDArray` operands,
-factors a stack of systems by a partial-pivot LU that updates every trailing
-block at each step, and evaluates with pairwise-summed dot products.  Its
-precision tag is ``"mp"``.
+The double-double rung, tagged ``"mp"``, assembles and evaluates its
+systems with the lower rungs' code in :mod:`landreg.transform`, on
+:class:`~landreg._dd.DDArray` operands; here it factors a stack of systems
+by a partial-pivot LU that updates every trailing block at each step.
 """
 
 from __future__ import annotations
@@ -23,12 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from ._dd import DDArray, _new
-from .kernels import Gaussian, Wendland1D, _radial, _univariate
-from .landmarks import distinct_axes, squared_distances
-from .lobachevsky import LobachevskySpline, _spline
-
-EVAL_BLOCK = 8192   # kernel entries per evaluation block: temporaries stay in cache
-_ONE = DDArray(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -153,46 +146,6 @@ def lu_solve_extended(lu, order, rhs):
 # ---------------------------------------------------------------------------
 # double-double
 
-def _factor(kernel, delta):
-    """A tensor factor psi(delta), or a Gaussian's factor along one axis, as DDArrays."""
-    if isinstance(kernel, Wendland1D):
-        return _univariate(kernel, delta)
-    if isinstance(kernel, LobachevskySpline):
-        return _spline(kernel, delta, _ONE)
-    if isinstance(kernel, Gaussian):
-        return _radial(kernel, abs(delta))
-    raise ValueError(f"kernel {kernel!r} is not a univariate tensor factor")
-
-
-def _kernel_rows(kernel, tensor, x, centers):
-    """Kernel matrix between points x (..., P, m) and centers (..., N, m), as DDArrays."""
-    if tensor:
-        return _product_rows(kernel, [None] * x.shape[-1], x, centers, None)
-    return _radial(kernel, np.sqrt(squared_distances(x, centers)))
-
-
-def _monomials(x, exponents):
-    """Monomial basis at the points x (..., P, m), (..., P, U), in x's array type and dtype."""
-    out = x[..., [0] * len(exponents)] ** 0          # ones, in x's type
-    for u, exps in enumerate(exponents):
-        for d, e in enumerate(exps):
-            if e:
-                out[..., u] = out[..., u] * x[..., d] ** e
-    return out
-
-
-def _saddle(m_mat, q_mat):
-    """The saddle matrices [[M, Q], [Q^T, 0]] of a stack of M and Q, ndarrays or DDArrays."""
-    if isinstance(m_mat, DDArray):
-        return DDArray(_saddle(m_mat.hi, q_mat.hi), _saddle(m_mat.lo, q_mat.lo))
-    n, u = q_mat.shape[-2:]
-    full = np.zeros(m_mat.shape[:-2] + (n + u, n + u), dtype=m_mat.dtype)
-    full[..., :n, :n] = m_mat
-    full[..., :n, n:] = q_mat
-    full[..., n:, :n] = np.swapaxes(q_mat, -1, -2)
-    return full
-
-
 def lu_dd(a):
     """Partial-pivot LU of an (S, n, n) DDArray stack, as lu_extended factors its stack.
 
@@ -236,15 +189,15 @@ def mp_solve(kernel, tensor, sources, tail_degree, exponents, rhs):
     """Assemble and solve a stack of saddle systems in double-double precision.
 
     sources is (S, N, m) and rhs (S, N+U, m); one factorization per system
-    serves all its coordinates.  Returns a list of S (coefficient DDArray
-    (N+U, m), max interpolation residual), (None, inf) for a system that is
-    exactly singular.
+    serves all its coordinates.  The systems are assembled by
+    transform._Problem, as the lower rungs' are; tensor and exponents follow
+    from kernel and tail_degree there, and keep the arguments' positions.
+    Returns a list of S (coefficient DDArray (N+U, m), max interpolation
+    residual), (None, inf) for a system that is exactly singular.
     """
-    x = DDArray(sources)
+    from .transform import _Problem       # transform imports this module
     n = sources.shape[1]
-    system = _kernel_rows(kernel, tensor, x, x)
-    if tail_degree is not None:
-        system = _saddle(system, _monomials(x, exponents))
+    system = _Problem(kernel, sources, tail_degree).assemble(DDArray(sources))
     lu, order = lu_dd(system)
     ok = np.flatnonzero(np.diagonal(lu.hi, axis1=1, axis2=2).all(axis=1))
     # Fixed-precision refinement never lowered the residual of a double-double
@@ -261,58 +214,12 @@ def mp_solve(kernel, tensor, sources, tail_degree, exponents, rhs):
     return out
 
 
-def _axis_tables(kernel, tensor, pts, centers):
-    """Per coordinate: (factor rows over its distinct values, each point's row), or None.
-
-    A tensor kernel, and a Gaussian at points with some coordinate of at most
-    P/2 distinct values, are evaluated as products of axis factors; an axis
-    of that many distinct values gets its table here, over the whole point
-    set, and an axis with more is evaluated per block (None).  Returns None
-    for the radial form.
-    """
-    distinct = distinct_axes(pts)
-    if not (tensor or (isinstance(kernel, Gaussian)
-                       and any(values is not None for values in distinct))):
-        return None
-    return [None if values is None
-            else (_factor(kernel, DDArray(values)[:, None] - centers[None, :, d]),
-                  np.searchsorted(values, pts[:, d]))
-            for d, values in enumerate(distinct)]
-
-
-def _product_rows(kernel, tables, x, centers, rows):
-    """Prod_d psi(x_d - c_d) for the points at rows, from the axis tables or directly."""
-    out = None
-    for d, table in enumerate(tables):
-        if table is None:
-            factor = _factor(kernel, x[..., :, None, d] - centers[..., None, :, d])
-        else:
-            factor = table[0][table[1][rows]]
-        out = factor if out is None else out * factor
-    return out
-
-
 def mp_evaluate(kernel, tensor, coef, tail_degree, exponents, points, centers):
-    """Evaluate a transform with double-double coefficients, as float64.
+    """Evaluate a transform with double-double coefficients at float64 points, as float64.
 
-    Kernel rows are built in blocks of EVAL_BLOCK entries, from the axis
-    tables of _axis_tables where it gives them.
+    The double-double rung's entry to transform._Problem.evaluate, which
+    every rung evaluates by; tensor and exponents follow from kernel and
+    tail_degree there, and keep the arguments' positions.
     """
-    pts = np.atleast_2d(points)
-    ctr = DDArray(centers)
-    n = len(ctr)
-    kernel_coef, tail_coef = coef[:n], coef[n:]
-    out = np.empty((len(pts), coef.shape[1]))
-    tables = _axis_tables(kernel, tensor, pts, ctr)
-    step = max(1, EVAL_BLOCK // n)
-    for start in range(0, len(pts), step):
-        x = DDArray(pts[start:start + step])
-        if tables is None:
-            kernel_rows = _kernel_rows(kernel, tensor, x, ctr)
-        else:
-            kernel_rows = _product_rows(kernel, tables, x, ctr, slice(start, start + step))
-        values = kernel_rows @ kernel_coef
-        if tail_degree is not None:
-            values = values + _monomials(x, exponents) @ tail_coef
-        out[start:start + step] = values.to_float()
-    return out
+    from .transform import _Problem       # transform imports this module
+    return _Problem(kernel, centers, tail_degree).evaluate(coef, points)

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._dd import DDArray
+
 MIN_SEPARATION = 1e-12
 CHUNK_BYTES = 1 << 22    # size of one (rows, landmarks) block of a chunked points x landmarks pass
 # Most points in one tile of a k_nearest query of more than one chunk.  On 1000 landmarks
@@ -27,30 +29,30 @@ def chunk_rows(width: int, itemsize: int = 8) -> int:
     return max(1, CHUNK_BYTES // max(1, width * itemsize))
 
 
-def squared_distances(points, sources, axes=None, work=None):
+def squared_distances(points, sources, tables=None, work=None):
     """(..., P, N) squared Euclidean distances of points (..., P, m) and sources (..., N, m).
 
-    In the operands' dtype.  The per-axis squares are added in coordinate
-    order, the order of numpy's ``sum(-1)`` over m <= 3, without a (P, N, m) array.
-    axes is distinct_axes(points) of 2-D points, or None.  An axis with its
-    distinct values v takes its squares as rows of the (U, N) table of
-    (v - c_d)^2, built once per value: the same squares, so the same bits.
-    work, a pair of (P, N) arrays of the operands' dtype, holds the sum in
-    work[0] and the squares of each later axis in work[1].
+    In the operands' array type: an ndarray of their dtype, or a DDArray.
+    The per-axis squares are added in coordinate order, the order of
+    numpy's ``sum(-1)`` over m <= 3, without a (P, N, m) array.  tables
+    holds, per axis of 2-D points, None or (the (U, N) table of (v - c_d)^2
+    over the axis's distinct values v, each point's row in it): such an axis
+    takes its squares as rows of the table, the same squares, so the same
+    bits.  work, a pair of (P, N) ndarrays of the operands' dtype, holds the
+    sum in work[0] and the squares of each later axis in work[1].
     """
     d2 = None
-    for d, values in enumerate(axes or [None] * points.shape[-1]):
+    for d, table in enumerate(tables or [None] * points.shape[-1]):
         into = None if work is None else work[min(d, 1)]
-        if values is None:
+        if table is None:
             diff = np.subtract(points[..., :, None, d], sources[..., None, :, d], out=into)
             diff *= diff
+        elif into is None:
+            diff = table[0][table[1]]
         else:
-            table = values[:, None] - sources[None, :, d]
-            table *= table
-            # every coordinate is among values, so clip moves no index; it keeps take
+            # every row is in the table, so clip moves no index; it keeps take
             # from buffering its output, as the default mode does
-            diff = np.take(table, np.searchsorted(values, points[:, d]), axis=0, out=into,
-                           mode="clip")
+            diff = np.take(*table, axis=0, out=into, mode="clip")
         if d2 is None:
             d2 = diff
         else:
@@ -58,24 +60,35 @@ def squared_distances(points, sources, axes=None, work=None):
     return d2
 
 
-def distinct_axes(x):
-    """Per coordinate of x (P, m): its distinct values, or None where more than P/2 are distinct.
+def distinct_axes(x, limit=None):
+    """Per coordinate of x (P, m): (its distinct values, each point's row in them), or None.
 
-    A coordinate whose values are all float64 numbers (as the 80-bit rung's
-    points are) is sorted in float64, several times faster than in longdouble.
+    None where more than P/2 of the values, or more than limit, are
+    distinct.  The values are ascending.  A coordinate whose values are all
+    float64 numbers (as the 80-bit and double-double rungs' points are) is
+    sorted, and its values kept, in float64, several times faster than in
+    longdouble; a double-double coordinate that is not is None.
     """
     out = []
     for d in range(x.shape[1]):
         column = x[:, d]
-        narrow = column.astype(float, copy=False)
-        if narrow is not column and np.array_equal(narrow, column):
-            column = narrow
+        if isinstance(column, DDArray):
+            if column.lo.any():
+                out.append(None)
+                continue
+            column = column.hi
+        else:
+            narrow = column.astype(float, copy=False)
+            if narrow is not column and np.array_equal(narrow, column):
+                column = narrow
         ordered = np.sort(column)
         fresh = ordered[1:] != ordered[:-1]
-        if 2 * (1 + np.count_nonzero(fresh)) > len(x):
+        count = 1 + np.count_nonzero(fresh)
+        if 2 * count > len(x) or (limit is not None and count > limit):
             out.append(None)
         else:
-            out.append(ordered[np.concatenate(([True], fresh))].astype(x.dtype, copy=False))
+            values = ordered[np.concatenate(([True], fresh))]
+            out.append((values, np.searchsorted(values, column)))
     return out
 
 

@@ -19,8 +19,9 @@ import numpy as np
 
 from .kernels import RadialKernel, _positive_finite, polynomial_tail_degree
 from .landmarks import CHUNK_BYTES, LandmarkSet, k_nearest
-from .transform import (GlobalRadialTransform, SolveError, Transformation, _Problem,
-                        monomial_matrix, solve_transform, tail_dimension)
+from ._dd import DDArray
+from .transform import (PRECISIONS, GlobalRadialTransform, SolveError, Transformation, _as_type_of,
+                        _entry_bytes, _Problem, solve_transform, tail_dimension)
 
 
 SNAP_RADIUS = 1e-12   # points this close to a landmark take its weight alone
@@ -133,39 +134,40 @@ def _weights_matrix(landmarks: LandmarkSet, cfg: ShepardConfig, rho, pts, near, 
     return wbar
 
 
-def _shared_values(kernel, landmarks, members, pts, dtype):
+def _shared_values(kernel, landmarks, members, pts):
     """Evaluate the members' interpolants from one shared kernel block, or None.
 
     members is [(NodalFunction, the points it weighs)], all of one rung.
-    The block pairs every such point with every landmark of the members'
-    neighborhoods, in the rung's dtype.  Kernel values are elementwise, so
-    the (P_j, N_L) sub-block a member gathers carries the bits of its own
-    eval_rows wherever both take the same (radial or product) form.  None
-    when the block would hold more entries than the members' separate
-    blocks together, or more than CHUNK_BYTES; within CHUNK_BYTES each
-    member's own evaluation is one chunk too, so the gathered product is
-    the one it would run.
+    The block pairs every such point with every landmark of the
+    members' neighborhoods, in the rung's array type.  Kernel values are
+    elementwise, so the (P_j, N_L) sub-block a member gathers carries the
+    bits of its own eval_rows wherever both take the same (radial or
+    product) form.  None when the block would hold more entries than the
+    members' separate blocks together, or more than one evaluation chunk of
+    the rung; within one chunk each member's own evaluation is one chunk
+    too, so the gathered product is the one it would run.
     """
     if not members:
         return None
     points = np.unique(np.concatenate([active for _, active in members]))
     cols = np.unique(np.concatenate([nf.neighbors for nf, _ in members]))
     entries = len(points) * len(cols)
+    z = members[0][0].interpolant._z
     if (entries > sum(len(active) * len(nf.neighbors) for nf, active in members)
-            or entries * dtype.itemsize > CHUNK_BYTES):
+            or entries * _entry_bytes(z) > CHUNK_BYTES):
         return None
-    x = pts[points].astype(dtype)
+    x = _as_type_of(pts[points], z)
     block = _Problem(kernel, landmarks.sources[cols], None).eval_rows(x)
 
     def values(nf, active):
         rows = np.searchsorted(points, active)
         sub = block[np.ix_(rows, np.searchsorted(cols, nf.neighbors))]
-        return nf.interpolant._block_values(x[rows], sub)
+        return nf.interpolant._problem.block_values(nf.interpolant._z, x[rows], sub)
     return values
 
 
 def _evaluate(cfg, landmarks, rho, nodal, pts):
-    """F = sum_j L_j Wbar_j at pts; the float64 or 80-bit L_j of a rung may share a kernel block."""
+    """F = sum_j L_j Wbar_j at pts; the L_j of one rung may share a kernel block."""
     near, d2 = k_nearest(landmarks.sources, pts, cfg.n_w)
     wbar = _weights_matrix(landmarks, cfg, rho, pts, near, d2)
     out = np.zeros((pts.shape[0], landmarks.dimension))
@@ -179,12 +181,12 @@ def _evaluate(cfg, landmarks, rho, nodal, pts):
     groups = [(nf, slice(bounds[nf.center], bounds[nf.center + 1])) for nf in nodal]
     groups = [(nf, group) for nf, group in groups if group.start < group.stop]
     shared = {}
-    for precision, dtype in (("double", float), ("longdouble", np.longdouble)):
+    for precision in PRECISIONS:
         rung = [(nf, rows[group]) for nf, group in groups if nf.interpolant.precision == precision]
-        shared[precision] = _shared_values(cfg.nodal_kernel, landmarks, rung, pts, np.dtype(dtype))
+        shared[precision] = _shared_values(cfg.nodal_kernel, landmarks, rung, pts)
     for nf, group in groups:
         active = rows[group]
-        from_block = shared.get(nf.interpolant.precision)
+        from_block = shared[nf.interpolant.precision]
         values = from_block(nf, active) if from_block else nf.interpolant(pts[active])
         out[active] += weights[group, None] * values
     return out
@@ -195,15 +197,16 @@ def _center_values(nodal, landmarks: LandmarkSet) -> np.ndarray:
 
     A float64 or 80-bit rung takes the (S, 1, N_L) kernel rows of its S
     centres from the nodal systems' shared landmark block where it took
-    one, or else from one stacked kernel_rows; one stacked matmul, plus the
-    tail's, gives the values.  Each row is the kernel_rows of the single
-    point x_j, and each coefficient slice keeps its interpolant's memory
+    one; otherwise, and on the double-double rung, they come from one
+    stacked kernel_rows.  One stacked matmul, plus the tail's, gives the
+    values.  Each row is the kernel_rows of the single point x_j, and each
+    float64 or 80-bit coefficient slice keeps its interpolant's memory
     layout, so a stacked product, which runs each member's own BLAS call,
     carries the bits of the interpolant's own evaluation at x_j.  A
-    double-double node evaluates itself.
+    double-double product is a pairwise sum per row, stacked or not.
     """
     out = np.empty((len(nodal), landmarks.dimension))
-    for precision, dtype in (("double", np.dtype(float)), ("longdouble", np.dtype(np.longdouble))):
+    for precision in PRECISIONS:
         rung = [j for j, nf in enumerate(nodal) if nf.interpolant.precision == precision]
         if not rung:
             continue
@@ -211,20 +214,18 @@ def _center_values(nodal, landmarks: LandmarkSet) -> np.ndarray:
         centers = np.array([nf.center for nf in members])
         index = np.array([nf.neighbors for nf in members])
         problem = members[0].interpolant._problem
-        x = landmarks.sources[centers][:, None].astype(dtype)
-        rows = None if problem.shared is None else problem.shared.take(centers[:, None], index, dtype)
+        x = _as_type_of(landmarks.sources[centers][:, None], members[0].interpolant._z)
+        rows = None
+        if problem.shared is not None and precision != "mp":
+            rows = problem.shared.take(centers[:, None], index, x.dtype)
         if rows is None:
             rows = _Problem(problem.kernel, landmarks.sources[index], None).kernel_rows(x)
-        # (S, N_L, m) with each (N_L, m) slice column-major, as getrs leaves a solution
-        coef = np.stack([nf.interpolant.coef.T for nf in members]).transpose(0, 2, 1)
-        values = rows @ coef
-        if problem.tail_degree is not None:
-            tail = np.stack([nf.interpolant.poly_coef.T for nf in members]).transpose(0, 2, 1)
-            values = values + monomial_matrix(x, problem.tail_degree) @ tail
-        out[rung] = values[:, 0]
-    for j, nf in enumerate(nodal):
-        if nf.interpolant.precision == "mp":
-            out[j] = nf.interpolant(landmarks.sources[nf.center])
+        z = [nf.interpolant._z for nf in members]
+        if precision == "mp":
+            z = DDArray(np.stack([z_j.hi for z_j in z]), np.stack([z_j.lo for z_j in z]))
+        else:    # each (N_L + U, m) slice column-major, as getrs leaves a solution
+            z = np.stack([z_j.T for z_j in z]).transpose(0, 2, 1)
+        out[rung] = problem.block_values(z, x, rows)[:, 0]
     return out
 
 

@@ -24,6 +24,8 @@ Where ``np.longdouble`` is no wider than float64 (Windows, macOS on arm64)
 the 80-bit rung is skipped.  A transform keeps the precision it was solved
 at and evaluates its kernels at that same precision, since rounding its
 coefficients or kernel values any lower would re-inject the full error.
+Every rung assembles and evaluates by the same _Problem code, on ndarrays
+of its dtype or, for double-double, on DDArrays.
 """
 
 from __future__ import annotations
@@ -37,11 +39,12 @@ import numpy as np
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dlange
 
 from . import _precision
+from ._dd import DDArray
 from ._precision import _refined_solve
-from .kernels import (Gaussian, Wendland1D, eval_radial, eval_univariate,
+from .kernels import (Gaussian, Wendland1D, _radial, _univariate, eval_radial, eval_univariate,
                       polynomial_tail_degree, support_radius)
 from .landmarks import CHUNK_BYTES, LandmarkSet, chunk_rows, distinct_axes, squared_distances
-from .lobachevsky import LobachevskySpline, eval_spline
+from .lobachevsky import LobachevskySpline, _spline, eval_spline
 
 RESIDUAL_LIMIT = 1e-6        # relative to max(1, |t|_inf); the solve failed beyond this
 ESCALATE_THRESHOLD = 1e-11   # float64 residual above this retries in 80-bit precision
@@ -53,6 +56,7 @@ CONDITION_DIGITS = 12
 SUPPORT_SLACK = 1e-12        # relative widening of a kernel's support when culling sources
 # the 80-bit rung runs only where np.longdouble carries more digits than float64
 LONGDOUBLE_IS_EXTENDED = np.finfo(np.longdouble).nmant > np.finfo(float).nmant
+PRECISIONS = ("double", "longdouble", "mp")   # the rungs' tags, bottom up
 
 
 class SolveError(RuntimeError):
@@ -86,9 +90,29 @@ def monomial_exponents(dimension: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def monomial_matrix(points, degree: int):
-    """Matrix of the monomial basis evaluated at the points (..., P, m), (..., P, U)."""
-    points = np.atleast_2d(points)
-    return _precision._monomials(points, monomial_exponents(points.shape[-1], degree))
+    """Matrix of the monomial basis evaluated at the points (..., P, m), (..., P, U).
+
+    In the points' array type and dtype.
+    """
+    exponents = monomial_exponents(points.shape[-1], degree)
+    out = points[..., [0] * len(exponents)] ** 0          # ones, in the points' type
+    for u, exps in enumerate(exponents):
+        for d, e in enumerate(exps):
+            if e:
+                out[..., u] = out[..., u] * points[..., d] ** e
+    return out
+
+
+def _saddle(m_mat, q_mat):
+    """The saddle matrices [[M, Q], [Q^T, 0]] of a stack of M and Q, ndarrays or DDArrays."""
+    if isinstance(m_mat, DDArray):
+        return DDArray(_saddle(m_mat.hi, q_mat.hi), _saddle(m_mat.lo, q_mat.lo))
+    n, u = q_mat.shape[-2:]
+    full = np.zeros(m_mat.shape[:-2] + (n + u, n + u), dtype=m_mat.dtype)
+    full[..., :n, :n] = m_mat
+    full[..., :n, n:] = q_mat
+    full[..., n:, :n] = np.swapaxes(q_mat, -1, -2)
+    return full
 
 
 def tail_dimension(dimension: int, degree) -> int:
@@ -99,42 +123,65 @@ def tail_dimension(dimension: int, degree) -> int:
 
 
 def _univariate_factor(kernel, delta):
-    """psi(delta) of a univariate tensor factor, or a Gaussian's factor along one axis."""
+    """psi(delta) of a univariate tensor factor, or a Gaussian's factor along one axis.
+
+    A DDArray takes the formulas themselves: the public evaluators take ndarrays.
+    """
+    dd = isinstance(delta, DDArray)
     if isinstance(kernel, Wendland1D):
-        return eval_univariate(kernel, delta)
+        return _univariate(kernel, delta) if dd else eval_univariate(kernel, delta)
     if isinstance(kernel, LobachevskySpline):
-        return eval_spline(kernel, delta)
+        return _spline(kernel, delta, DDArray(1.0)) if dd else eval_spline(kernel, delta)
     if isinstance(kernel, Gaussian):
-        return eval_radial(kernel, np.abs(delta))
+        return _radial(kernel, np.abs(delta)) if dd else eval_radial(kernel, np.abs(delta))
     raise ValueError(f"kernel {kernel!r} is not a univariate tensor factor")
 
 
-def _axis_factor(kernel, x, centers, values):
-    """psi(x_i - c_j) for one coordinate of x (..., P) and centers (..., N), (..., P, N).
+def _axis_tables(kernel, distinct, centers):
+    """(product form?, per coordinate (its table, each point's row in it) or None).
 
-    In x's dtype.  values is the coordinate's distinct values (a grid axis,
-    or the coordinates of landmarks on a lattice) for a 1-D x, or None.
-    Given values, psi is evaluated once per distinct value and the rows are
-    gathered back; psi is elementwise, so the bits are those of the direct
-    evaluation.
+    distinct is distinct_axes of the points.  A tensor factor takes the
+    product form, and so does a Gaussian where some coordinate has a table.
+    A table pairs each distinct value v of the coordinate (a grid axis, or
+    the coordinates of landmarks on a lattice) with every centre: psi(v - c_d)
+    for the product form, (v - c_d)^2 for the radial one.  Each entry is the
+    one the direct evaluation computes, so rows gathered from it carry its bits.
     """
-    if values is None:
-        return _univariate_factor(kernel, x[..., :, None] - centers[..., None, :])
-    rows = _univariate_factor(kernel, values[:, None] - centers[None, :])
-    return rows[np.searchsorted(values, x)]
+    product = (isinstance(kernel, (Wendland1D, LobachevskySpline))
+               or isinstance(kernel, Gaussian) and any(axis is not None for axis in distinct))
+    tables = []
+    for d, axis in enumerate(distinct):
+        if axis is not None:
+            values, rows = axis
+            delta = values[:, None] - centers[None, :, d]
+            if product:
+                delta = _univariate_factor(kernel, delta)
+            else:
+                delta *= delta
+            axis = (delta, rows)
+        tables.append(axis)
+    return product, tables
 
 
-def _tensor_matrix(kernel, x, centers, distinct=None):
+def _tensor_matrix(kernel, x, centers, tables=None):
     """Product kernel matrix Prod_d psi(x_d - c_d) of x (..., P, m) and centers (..., N, m).
 
-    dtype-preserving.  distinct is distinct_axes(x), computed here for a
-    2-D x when not given; a stacked x evaluates its factors directly.
+    In x's array type.  tables is _axis_tables of x, built here for a 2-D x
+    when not given; a stacked x evaluates its factors directly.
     """
-    if distinct is None:
-        distinct = distinct_axes(x) if x.ndim == 2 else [None] * x.shape[-1]
-    out = _axis_factor(kernel, x[..., 0], centers[..., 0], distinct[0])
-    for d in range(1, x.shape[-1]):
-        out = out * _axis_factor(kernel, x[..., d], centers[..., d], distinct[d])
+    if tables is None:
+        tables = ([None] * x.shape[-1] if x.ndim != 2
+                  else _axis_tables(kernel, distinct_axes(x), centers)[1])
+    def factor(d):
+        if tables[d] is None:
+            return _univariate_factor(kernel, x[..., :, None, d] - centers[..., None, :, d])
+        return tables[d][0][tables[d][1]]
+
+    out = factor(0)
+    for d in range(1, len(tables)):
+        # each factor is freed as soon as it is multiplied in: holding it longer left
+        # glibc's heap trimmed and re-faulted, +50 % page faults on a 40 x 40 grid warp
+        out = out * factor(d)
     return out
 
 
@@ -229,25 +276,29 @@ class _Problem:
         return monomial_exponents(self.sources.shape[-1], self.tail_degree)
 
     def kernel_rows(self, x, cols=slice(None)):
-        """Kernel matrix between points x (..., P, m) and the sources[cols], in x's dtype.
+        """Kernel matrix between points x (..., P, m) and the sources[cols], in x's array type.
 
-        A stack's points x (S, P, m) pair with its sources (S, N, m).
+        x is an ndarray of a rung's dtype or a DDArray.  A stack's points x
+        (S, P, m) pair with its sources (S, N, m).
         """
-        return self._kernel_matrix(x, self.sources[cols].astype(x.dtype))
+        return self._kernel_matrix(x, _as_type_of(self.sources[cols], x))
 
-    def _kernel_matrix(self, x, src, distinct=None, work=None):
+    def _kernel_matrix(self, x, src, tables=None, work=None):
         """Kernel matrix between points x (..., P, m) and centres src (..., N, m).
 
-        A radial kernel's block takes distinct, distinct_axes(x) of a 2-D x,
-        to squared_distances, and is built in work, a pair of (P, N) arrays
-        of x's dtype, where given.
+        A radial kernel's block takes tables, _axis_tables of the radial
+        form at a 2-D x, to squared_distances, and is built in work, a pair
+        of (P, N) arrays of x's dtype, where given.  A DDArray block takes
+        the formula itself: eval_radial takes ndarrays.
         """
         if self.tensor:
             return _tensor_matrix(self.kernel, x, src)
-        d2 = squared_distances(x, src, distinct, work)
+        d2 = squared_distances(x, src, tables, work)
+        if isinstance(d2, DDArray):
+            return _radial(self.kernel, np.sqrt(d2))
         return eval_radial(self.kernel, np.sqrt(d2, out=d2), None if work is None else work[1])
 
-    def eval_rows(self, x, cols=slice(None), work=None):
+    def eval_rows(self, x, cols=slice(None), work=None, plan=None):
         """kernel_rows for evaluation of 2-D x, from per-axis tables where they pay.
 
         Where some coordinate of x has at most P/2 distinct values (a grid,
@@ -258,23 +309,23 @@ class _Problem:
         axis factor evaluated as a tensor factor; its values differ from the
         radial form's at rounding level.  Points with no such axis keep the
         radial form: there the product would cost one exp per axis and entry.
+        plan is _axis_tables of x and the sources[cols], made here when not
+        given.
 
-        work, a pair of 1-D arrays of x's dtype, each with at least the
-        block's entries, holds the radial block's distances and values: the
+        work, a pair of 1-D ndarrays of x's dtype, each with at least the
+        block's entries, holds a radial block's distances and values: the
         block returned may be a view of one.
         """
-        if self.tensor:
-            return self.kernel_rows(x, cols)
-        src = self.sources[cols].astype(x.dtype)
-        distinct = distinct_axes(x)
-        if isinstance(self.kernel, Gaussian) and any(values is not None for values in distinct):
-            return _tensor_matrix(self.kernel, x, src, distinct)
+        src = _as_type_of(self.sources[cols], x)
+        product, tables = plan or _axis_tables(self.kernel, distinct_axes(x), src)
+        if product:
+            return _tensor_matrix(self.kernel, x, src, tables)
         if work is not None:
             work = [w[:len(x) * len(src)].reshape(len(x), len(src)) for w in work]
-        return self._kernel_matrix(x, src, distinct, work)
+        return self._kernel_matrix(x, src, tables, work)
 
-    def reaching(self, x):
-        """The sources whose support meets the bounding box of x, as an index for kernel_rows.
+    def reaching(self, pts):
+        """The sources whose support meets the box of float64 pts, as an index for kernel_rows.
 
         The box is widened by the support radius times 1 + SUPPORT_SLACK, so
         a source left out has an exactly zero kernel value at every point.
@@ -282,21 +333,29 @@ class _Problem:
         reach = support_radius(self.kernel) * (1.0 + SUPPORT_SLACK)
         if not np.isfinite(reach):
             return slice(None)
-        return np.flatnonzero(((self.sources >= x.min(0) - reach)
-                               & (self.sources <= x.max(0) + reach)).all(1))
+        return np.flatnonzero(((self.sources >= pts.min(0) - reach)
+                               & (self.sources <= pts.max(0) + reach)).all(1))
 
     def build(self, dtype):
-        """The saddle matrix [[M, Q], [Q^T, 0]] (M alone when U = 0), (..., N+U, N+U).
+        """The saddle matrix [[M, Q], [Q^T, 0]] (M alone when U = 0), (..., N+U, N+U), in dtype.
 
-        A stack is assembled at once: its kernel blocks M come from the
-        shared block in one gather, or from one kernel evaluation, and its
-        tails Q from one monomial_matrix.  Kernel values and monomials are
-        elementwise, so each system carries the bits of its own assembly.
-        A stack of one is assembled as its single system, so a tensor
-        product keeps evaluating its axis factors per distinct coordinate.
+        assemble's, with its kernel blocks gathered from the shared block where that holds dtype.
         """
-        src = self.sources.astype(dtype)
         m_mat = None if self.shared is None else self.shared.take(self.index, self.index, dtype)
+        return self.assemble(self.sources.astype(dtype), m_mat)
+
+    def assemble(self, src, m_mat=None):
+        """The saddle matrices of these systems with the sources src in a rung's array type.
+
+        src is the sources as an ndarray of the rung's dtype, or as a
+        DDArray for the double-double rung.  A stack is assembled at once:
+        its kernel blocks M are m_mat where given, or else one kernel
+        evaluation, and its tails Q one monomial_matrix.  Kernel values and
+        monomials are elementwise, so each system carries the bits of its
+        own assembly.  A stack of one is assembled as its single system, so
+        a tensor product keeps evaluating its axis factors per distinct
+        coordinate.
+        """
         if m_mat is None:
             if src.ndim == 3 and len(src) == 1:
                 m_mat = self._kernel_matrix(src[0], src[0])[None]
@@ -304,7 +363,76 @@ class _Problem:
                 m_mat = self._kernel_matrix(src, src)
         if self.tail_degree is None:
             return m_mat
-        return _precision._saddle(m_mat, monomial_matrix(src, self.tail_degree))
+        return _saddle(m_mat, monomial_matrix(src, self.tail_degree))
+
+    def evaluate(self, z, pts):
+        """float64 values at float64 points pts (P, m) of the expansion with solution z.
+
+        The points are taken to the array type of z (N+U, m), the rung's:
+        float64, longdouble or DDArray.  The form and the per-axis tables of
+        eval_rows are chosen once, over all the points; an axis takes a table
+        only if it has at most chunk_rows(N) distinct values, so the table
+        fits a float64 chunk.  The points are then evaluated in row chunks of
+        CHUNK_BYTES at the rung's bytes per kernel entry (_entry_bytes), each
+        gathering its rows of the tables.  With more than one chunk, each
+        uses only the sources whose support reaches its bounding box; a
+        single chunk is one eval_rows product.  A radial kernel's float64 or
+        80-bit chunks build their blocks in one workspace, two chunk-sized
+        arrays made once per call.
+        """
+        x = _as_type_of(pts, z)
+        product, tables = _axis_tables(self.kernel, distinct_axes(x, chunk_rows(self.n)),
+                                       _as_type_of(self.sources, z))
+        out = np.empty(pts.shape)
+        step = chunk_rows(self.n, _entry_bytes(z))
+        chunks = range(0, len(pts), step)
+        size = min(step, len(pts)) * self.n
+        radial = isinstance(x, np.ndarray) and not product
+        work = (np.empty(size, x.dtype), np.empty(size, x.dtype)) if radial else None
+        for start in chunks:
+            rows = slice(start, start + step)
+            cols = self.reaching(pts[rows]) if len(chunks) > 1 else slice(None)
+            own = [None if t is None else (t[0][:, cols], t[1][rows]) for t in tables]
+            block = self.eval_rows(x[rows], cols, work, (product, own))
+            out[rows] = self.block_values(z, x[rows], block, cols)
+        return out
+
+    def block_values(self, z, x, block, cols=slice(None)):
+        """float64 values at points x (..., P, m) of the expansion with solution z, from a block.
+
+        x and z, (..., N+U, m), are in the rung's array type, and block is
+        eval_rows(x, cols), or a stack's kernel_rows.  A float64 product's
+        bits depend on its row count, so a caller holding a larger kernel
+        block gathers exactly these rows into a block of their own.  A
+        double-double product is a pairwise sum per row, whose bits do not.
+        """
+        values = block @ z[..., :self.n, :][..., cols, :]
+        if self.tail_degree is not None:
+            values = values + monomial_matrix(x, self.tail_degree) @ z[..., self.n:, :]
+        if isinstance(values, DDArray):
+            return values.to_float()
+        return values.astype(float, copy=False)
+
+
+def _as_type_of(values, like):
+    """float64 values in the array type of like: a DDArray, or an ndarray of like's dtype."""
+    return DDArray(values) if isinstance(like, DDArray) else values.astype(like.dtype, copy=False)
+
+
+def _entry_bytes(z):
+    """Bytes per kernel entry that size the evaluation chunks of a solution z (N+U, m).
+
+    An ndarray entry counts z's itemsize.  A double-double entry counts the
+    float64 words its product with the coefficients allocates: 36 per
+    column, 16 in the TwoProd and renormalization and about 20 in the
+    pairwise sum.  That keeps a 2-D chunk near 7300 entries, whose
+    temporaries stay in cache: a flat Gaussian at N = 68 evaluated the
+    40 x 40 grid in 38-40 ms in chunks of 7300 to 29000 entries, and in
+    50 ms as one float64-sized chunk (2-core x86_64, bitwise equal).
+    """
+    if isinstance(z, DDArray):
+        return 36 * z.hi.itemsize * z.shape[-1]
+    return z.dtype.itemsize
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +616,10 @@ class _SolvedTransform(Transformation):
         self.precision = precision
 
     def __call__(self, points):
+        """float64 values at points (P, m) or (m,), by _Problem.evaluate at the rung solved at.
+
+        The double-double rung enters it through _precision.mp_evaluate.
+        """
         pts, single = self._wrap(points)
         problem = self._problem
         if self.precision == "mp":
@@ -495,43 +627,8 @@ class _SolvedTransform(Transformation):
                 problem.kernel, problem.tensor, self._z, problem.tail_degree,
                 problem.exponents, pts, problem.sources)
         else:
-            out = self._evaluate_chunked(pts)
+            out = problem.evaluate(self._z, pts)
         return out[0] if single else out
-
-    def _evaluate_chunked(self, pts):
-        """float64 or 80-bit evaluation, in row chunks of CHUNK_BYTES per kernel block.
-
-        With more than one chunk, each uses only the sources whose support
-        reaches its bounding box; a single chunk is one eval_rows product.
-        A radial kernel's chunks build their blocks in one workspace, two
-        chunk-sized arrays made once per call.
-        """
-        problem = self._problem
-        dtype = np.dtype(np.longdouble if self.precision == "longdouble" else float)
-        x = pts.astype(dtype)
-        out = np.empty(pts.shape)
-        step = chunk_rows(problem.n, dtype.itemsize)
-        chunks = range(0, len(x), step)
-        size = min(step, len(x)) * problem.n
-        work = None if problem.tensor else (np.empty(size, dtype), np.empty(size, dtype))
-        for start in chunks:
-            xc = x[start:start + step]
-            cols = problem.reaching(xc) if len(chunks) > 1 else slice(None)
-            block = problem.eval_rows(xc, cols, work)
-            out[start:start + step] = self._block_values(xc, block, cols)
-        return out
-
-    def _block_values(self, x, block, cols=slice(None)):
-        """float64 values at points x, in the rung's dtype, from their kernel block.
-
-        block is eval_rows(x, cols).  A float64 product's bits depend on its
-        row count, so a caller holding a larger kernel block gathers exactly
-        these rows into a block of their own.
-        """
-        values = block @ self.coef[cols]
-        if self.tail_degree is not None:
-            values = values + monomial_matrix(x, self.tail_degree) @ self.poly_coef
-        return values.astype(float, copy=False)
 
     @property
     def kernel(self):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import landreg
+from landreg.bench import CaseSpec, build_method, gen_case
 from landreg.kernels import ThinPlateSpline
 from landreg.landmarks import LandmarkSet
 from landreg.shepard import ShepardConfig, build_shepard_transform, node_radii
@@ -62,6 +63,35 @@ def test_traced_solve_and_evaluation_record_spans():
     metrics = tracer.layer_metrics(1)
     assert metrics["transform.rung_double"] == 1
     assert metrics["transform.eval_points"] == 2
+
+
+def test_traced_double_double_fit_and_warp_record_spans():
+    """A double-double g and a shep-g with double-double nodes, fitted and warped under the tracer.
+
+    No DDArray may reach a wrapped call whose detail reads an ndarray.
+    """
+    spans = load_spans()
+    originals = {(owner, attr): owner.__dict__[attr] for owner, attr, *_ in spans.WRAPS}
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        for method, case, value in [("g", "square-shift-32", 0.2),
+                                    ("shep-g", "square-scale-64", 1.2)]:
+            landmarks, grid, _ = gen_case(CaseSpec(case))
+            t = build_method(method, landmarks, case, value)
+            t(grid.points)
+    finally:
+        tracer.active = False
+        tracer.restore()
+    assert all(owner.__dict__[attr] is original
+               for (owner, attr), original in originals.items())
+    calls = tracer.calls()
+    for name in ("precision.mp_solve", "precision.mp_eval", "transform.eval_mp"):
+        assert calls.get(name, 0) >= 1, name
+    metrics = tracer.layer_metrics(1)
+    assert metrics["precision.mp_solve_calls"] == 2        # one stack per fit
+    assert metrics["precision.mp_eval_points"] >= len(grid.points)
 
 
 def test_traced_shepard_weights_detail_resolves():

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landreg._dd import DDArray, _tree_sum, two_prod, two_sum
-from landreg._precision import _kernel_rows
 from landreg.kernels import (Gaussian, GeneralizedMultiquadric, ThinPlateSpline, WendlandRadial,
                              _radial)
+from landreg.transform import _Problem
 
 REL_ARITH = 2.0 ** -100
 REL_FUNC = 1e-30
@@ -172,9 +172,10 @@ def test_radial_kernel_rows_sum_the_axes_like_a_tree_sum(kernel, m):
     """Squared distances added axis by axis carry the bits of a pairwise sum over the axes."""
     rng = np.random.default_rng(m)
     x = DDArray(rng.uniform(-1, 1, (9, m)), rng.uniform(-1, 1, (9, m)) * 2.0 ** -60)
-    centers = DDArray(rng.uniform(-1, 1, (7, m)))
-    diff = x[:, None, :] - centers[None, :, :]
+    centers = rng.uniform(-1, 1, (7, m))
+    diff = x[:, None, :] - DDArray(centers)[None, :, :]
     diff = diff * diff
     want = _radial(kernel, np.sqrt(DDArray(*_tree_sum(diff.hi, diff.lo, -1))))
-    got = _kernel_rows(kernel, False, x, centers)
-    assert np.array_equal(got.hi, want.hi) and np.array_equal(got.lo, want.lo)
+    problem = _Problem(kernel, centers, None)
+    for got in (problem.kernel_rows(x), problem.eval_rows(x)):
+        assert np.array_equal(got.hi, want.hi) and np.array_equal(got.lo, want.lo)

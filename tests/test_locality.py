@@ -14,13 +14,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import landreg.landmarks
+from landreg import _precision
+from landreg._dd import DDArray
 from landreg.bench import CASE_KINDS, CaseSpec, build_method, default_grid, gen_case
 from landreg.kernels import Gaussian, ThinPlateSpline, Wendland1D, WendlandRadial
 from landreg.landmarks import (CHUNK_BYTES, MIN_SEPARATION, LandmarkSet, chunk_rows,
                                k_nearest)
 from landreg.shepard import (SNAP_RADIUS, ShepardConfig, build_shepard_transform,
                              nearest_landmarks, node_radii)
-from landreg.transform import monomial_matrix, solve_transform
+from landreg.transform import (GlobalRadialTransform, _entry_bytes, _Problem, monomial_matrix,
+                               solve_transform)
 from weights import scattered_weights
 
 # ---------------------------------------------------------------------------
@@ -287,19 +290,53 @@ def one_block(transform, x):
     return transform._problem.kernel_rows(x) @ transform.coef
 
 
-@pytest.mark.parametrize("build", [
-    lambda lm: solve_transform(WendlandRadial(2, 1, np.sqrt(np.pi * lm.n / 30)), lm),
-    lambda lm: solve_transform(Wendland1D(1, 12.0), lm),
-], ids=["wendland-radial", "wendland-1dx1d"])
-def test_multi_chunk_evaluation_matches_one_block(build):
-    landmarks = jittered_lattice(20, seed=5)
-    transform = build(landmarks)
-    assert transform.precision == "double"
-    x = default_grid(100, 100).points * 1.2 - 0.1
-    assert len(x) > 4 * chunk_rows(landmarks.n)
+def mp_solved(kernel, landmarks):
+    """The transform of a radial kernel without tail, solved by the double-double mp_solve."""
+    [(z, residual)] = _precision.mp_solve(kernel, False, landmarks.sources[None], None, [],
+                                          landmarks.targets[None])
+    return GlobalRadialTransform(_Problem(kernel, landmarks.sources, None), landmarks, z,
+                                 residual, 1.0, "mp")
+
+
+def multi_chunk_case(name):
+    """(transform, points) of an evaluation of more than one chunk."""
+    if name == "flat-gaussian-double-double":
+        landmarks, grid, _ = gen_case(CaseSpec("square-shift-32"))
+        return build_method("g", landmarks, "square-shift-32", 0.2), grid.points
+    side = 8 if name.endswith("double-double") else 20
+    landmarks = jittered_lattice(side, seed=5)
+    x = default_grid(5 * side, 5 * side).points * 1.2 - 0.1
+    if name == "wendland-1dx1d":
+        return solve_transform(Wendland1D(1, 12.0), landmarks), x
+    solve = mp_solved if name.endswith("double-double") else solve_transform
+    return solve(WendlandRadial(2, 1, np.sqrt(np.pi * landmarks.n / 30)), landmarks), x
+
+
+@pytest.mark.parametrize("name", ["wendland-radial", "wendland-1dx1d",
+                                  "wendland-radial-double-double", "flat-gaussian-double-double"])
+def test_multi_chunk_evaluation_matches_one_block(name):
+    transform, x = multi_chunk_case(name)
+    problem = transform._problem
+    step = chunk_rows(problem.n, _entry_bytes(transform._z))
+    assert len(x) > 4 * step
     values = transform(x)
-    expected = one_block(transform, x)
-    assert np.abs(values - expected).max() <= 1e-14 * np.abs(expected).max()
+    if isinstance(transform.kernel, Gaussian):
+        # no culling, and a double-double product is a pairwise sum per row: the same bits
+        assert transform.precision == "mp"
+        block = problem.eval_rows(DDArray(x))
+        assert np.array_equal(values, (block @ transform.coef).to_float())
+        return
+    assert len(problem.reaching(x[:step])) < problem.n          # the chunks are culled
+    if transform.precision == "double":
+        expected = one_block(transform, x)
+        assert np.abs(values - expected).max() <= 1e-14 * np.abs(expected).max()
+        return
+    # culling drops exact zeros from each row's pairwise sum, which moves its rounding
+    assert transform.precision == "mp"
+    block = problem.kernel_rows(DDArray(x))
+    expected = (block @ transform.coef).to_float()
+    bound = 16 * 2.0 ** -100 * np.abs(block.to_float()) @ np.abs(transform.coef.to_float())
+    assert (np.abs(values - expected) <= bound + np.spacing(np.abs(expected))).all()
 
 
 @pytest.mark.parametrize("method,value", [("w2-2d", 0.6), ("w4-1dx1d", 1.0), ("tps", None),
@@ -346,11 +383,11 @@ def test_dense_wendland_evaluation_memory_is_bounded():
 def test_dense_tps_evaluation_memory_is_one_workspace():
     """The TPS warp of scale-dense's size holds what its chunk workspace design allows.
 
-    Two blocks of one chunk (CHUNK_BYTES each), one per-axis distance table
-    of at most half a chunk (at most rows / 2 distinct values by N), the
-    kernel's two boolean masks over a block (an eighth of a chunk each),
-    and four (P, m) float64 arrays: points, their copy in the rung's
-    dtype, the output and one spare.
+    Two blocks of one chunk (CHUNK_BYTES each), the per-axis distance
+    tables of the whole grid (two of 141 x N here, about half a chunk
+    together), the kernel's two boolean masks over a block (an eighth of a
+    chunk each), and four (P, m) float64 arrays: the output, the tables'
+    row indices (one array's worth) and two spare.
     """
     landmarks = dense_lattice()
     transform = solve_transform(ThinPlateSpline(), landmarks)

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from landreg import _precision, transform
+from landreg import transform
 from landreg._dd import DDArray
 from landreg.bench import CaseSpec, build_method, gen_case
 from landreg.kernels import Gaussian, GeneralizedMultiquadric, ThinPlateSpline, WendlandRadial
-from landreg.landmarks import LandmarkSet, distinct_axes, squared_distances
-from landreg.transform import _Problem, solve_transform
+from landreg.landmarks import LandmarkSet, chunk_rows, distinct_axes, squared_distances
+from landreg.transform import _axis_tables, _entry_bytes, _Problem, solve_transform
 
 # unit roundoff of each rung; the double-double one allows for its exp
 UNIT = {np.float64: np.finfo(np.float64).eps / 2, np.longdouble: np.finfo(np.longdouble).eps / 2,
@@ -95,8 +95,8 @@ def test_product_form_matches_the_radial_form_in_float64_and_80_bit(problem, dty
 def test_product_form_matches_the_radial_form_in_double_double(problem):
     kernel, x, centers, coef = problem
     coef_dd = DDArray(coef[:, None])
-    got = _precision.mp_evaluate(kernel, False, coef_dd, None, [], x, centers)[:, 0]
-    radial = _precision._kernel_rows(kernel, False, DDArray(x), DDArray(centers)) @ coef_dd
+    got = _Problem(kernel, centers, None).evaluate(coef_dd, x)[:, 0]
+    radial = radial_rows(kernel, DDArray(x), centers) @ coef_dd
     want = radial.to_float()[:, 0]
     # both are rounded to float64 at the end: allow one spacing of the result
     bound = rounding_bound(kernel, x, centers, coef, UNIT["dd"]) + np.spacing(np.abs(want))
@@ -136,11 +136,12 @@ def table_problems(draw):
 def test_table_form_of_the_squared_distances_is_the_broadcast_form(problem):
     x, sources, cols = problem
     src = sources[cols].astype(x.dtype)
-    axes = distinct_axes(x)
+    product, tables = _axis_tables(ThinPlateSpline(), distinct_axes(x), src)
+    assert not product
     want = squared_distances(x, src)
-    assert np.array_equal(squared_distances(x, src, axes), want)
+    assert np.array_equal(squared_distances(x, src, tables), want)
     work = [np.full(want.shape, np.nan, x.dtype) for _ in range(2)]
-    got = squared_distances(x, src, axes, work)
+    got = squared_distances(x, src, tables, work)
     assert np.shares_memory(got, work[0]) and np.array_equal(got, want)
 
 
@@ -216,26 +217,45 @@ def test_assembly_stays_radial(monkeypatch):
     assert sizes == [81]
 
 
-def test_double_double_tables_cover_the_whole_point_set():
-    grid = gen_case(CaseSpec("square-shift-32"))[1].points
-    centers = DDArray(SOURCES)
-    tables = _precision._axis_tables(Gaussian(1.0), False, grid, centers)
-    assert [table[0].shape for table in tables] == [(40, 9), (40, 9)]
+def dd_radial_entries(monkeypatch, points):
+    """The size of every kernel formula call of a double-double Gaussian evaluation over SOURCES.
+
+    Double-double blocks take kernels._radial itself, as transform looks it up.
+    """
+    sizes = []
+    original = transform._radial
+
+    def counting(kernel, r, *work):
+        sizes.append(np.size(r.hi))
+        return original(kernel, r, *work)
+
+    coef = DDArray(np.random.default_rng(5).standard_normal((len(SOURCES), 2)))
+    with monkeypatch.context() as patch:
+        patch.setattr(transform, "_radial", counting)
+        _Problem(Gaussian(1.0), SOURCES, None).evaluate(coef, points)
+    return sizes
+
+
+def test_double_double_tables_cover_the_whole_point_set(monkeypatch):
+    """An evaluation builds each axis's table once, over all its points, and chunks gather rows."""
+    grid = gen_case(CaseSpec("square-shift-32"))[1].points              # 40 x 40
+    step = chunk_rows(len(SOURCES), _entry_bytes(DDArray(np.zeros((len(SOURCES), 2)))))
+    rows = [step, len(grid) - step]                                     # two chunks
+    assert step < len(grid) <= 2 * step
+    assert dd_radial_entries(monkeypatch, grid) == [40 * 9, 40 * 9]
     scattered = np.random.default_rng(3).uniform(0, 1, (1600, 2))
-    assert _precision._axis_tables(Gaussian(1.0), False, scattered, centers) is None
+    assert dd_radial_entries(monkeypatch, scattered) == [p * 9 for p in rows]
     mixed = np.column_stack([grid[:, 0], scattered[:, 1]])
-    assert [t if t is None else t[0].shape
-            for t in _precision._axis_tables(Gaussian(1.0), False, mixed, centers)] \
-        == [(40, 9), None]
+    assert dd_radial_entries(monkeypatch, mixed) == [40 * 9] + [p * 9 for p in rows]
+    assert dd_radial_entries(monkeypatch, grid[:1]) == [9]
 
 
 def test_double_double_product_form_spans_several_blocks():
     landmarks, grid, _ = gen_case(CaseSpec("square-shift-32"))
     t = build_method("g", landmarks, "square-shift-32", 0.2)
-    assert t.precision == "mp" and len(grid.points) * landmarks.n > _precision.EVAL_BLOCK
+    assert t.precision == "mp" and len(grid.points) > chunk_rows(landmarks.n, _entry_bytes(t._z))
     z = t._z
-    radial = (_precision._kernel_rows(t.kernel, False, DDArray(grid.points),
-                                      DDArray(landmarks.sources)) @ z).to_float()
+    radial = (t._problem.kernel_rows(DDArray(grid.points)) @ z).to_float()
     bound = rounding_bound(t.kernel, grid.points, landmarks.sources,
                            np.abs(z.to_float()).max(1), UNIT["dd"])
     gap = np.abs(t(grid.points) - radial).max(1)

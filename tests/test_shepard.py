@@ -360,18 +360,43 @@ def per_node_evaluation(t, points):
 
 @pytest.fixture
 def shared_blocks(monkeypatch):
-    """The dtype of every shared block an evaluation builds, or None where the rule refuses it."""
+    """(rung, taken) of every shared block an evaluation asks for; taken is False where refused."""
     built = []
     shared_values = shepard._shared_values
 
-    def spy(kernel, landmarks, members, pts, dtype):
-        values = shared_values(kernel, landmarks, members, pts, dtype)
+    def spy(kernel, landmarks, members, pts):
+        values = shared_values(kernel, landmarks, members, pts)
         if members:
-            built.append(dtype if values else None)
+            built.append((members[0][0].interpolant.precision, values is not None))
         return values
 
     monkeypatch.setattr(shepard, "_shared_values", spy)
     return built
+
+
+@pytest.fixture
+def gathered(monkeypatch, shared_blocks):
+    """(rung, bitwise) of every member evaluated from a shared block.
+
+    bitwise: its values carry the bits of its interpolant's own evaluation at its points.
+    """
+    out = []
+    shared_values = shepard._shared_values
+
+    def spy(kernel, landmarks, members, pts):
+        values = shared_values(kernel, landmarks, members, pts)
+        if values is None:
+            return None
+
+        def checked(nf, active):
+            got = values(nf, active)
+            out.append((nf.interpolant.precision,
+                        np.array_equal(got, nf.interpolant(pts[active]))))
+            return got
+        return checked
+
+    monkeypatch.setattr(shepard, "_shared_values", spy)
+    return out
 
 
 def assert_same_bits(got, want):
@@ -397,7 +422,7 @@ def test_shared_block_tps_with_tail_on_a_grid_is_bitwise(shared_blocks):
     t = build_shepard_transform(LandmarkSet(src, displaced(src)), TPS_CFG)
     assert rungs(t) == {"double"} and t.nodal[0].interpolant.tail_degree == 1
     assert_bitwise_per_node(t, GRID)
-    assert shared_blocks == [np.dtype(float)]
+    assert shared_blocks == [("double", True)]
 
 
 def test_shared_blocks_of_mixed_float64_and_80bit_nodes_are_bitwise(shared_blocks):
@@ -406,15 +431,29 @@ def test_shared_blocks_of_mixed_float64_and_80bit_nodes_are_bitwise(shared_block
                                 ShepardConfig(Gaussian(1.2), n_l=16, n_w=12))
     assert rungs(t) == {"double", "longdouble"}
     assert_bitwise_per_node(t, GRID)
-    assert shared_blocks == [np.dtype(float), np.dtype(np.longdouble)]
+    assert shared_blocks == [("double", True), ("longdouble", True)]
 
 
-def test_double_double_nodes_stay_per_node(shared_blocks):
+@pytest.mark.parametrize("alpha, mp_nodes", [(2.0, 4), (1.2, 2), (0.4, 1)])
+def test_double_double_nodes_share_a_block_or_record_the_refusal(shared_blocks, gathered,
+                                                                 alpha, mp_nodes):
     landmarks, grid, _ = gen_case(CaseSpec("square-scale-64"))
-    t = build_method("shep-g", landmarks, "square-scale-64", 2.0)
-    assert [nf.interpolant.precision for nf in t.nodal].count("mp") == 4
+    t = build_method("shep-g", landmarks, "square-scale-64", alpha)
+    mp = [nf for nf in t.nodal if nf.interpolant.precision == "mp"]
+    assert len(mp) == mp_nodes
     assert_bitwise_per_node(t, grid.points)
-    assert shared_blocks == [np.dtype(np.longdouble)]
+    # one node's block is its own; on the grid, that of several is larger than theirs together
+    assert shared_blocks == [("longdouble", True), ("mp", mp_nodes == 1)]
+    assert all(bitwise for rung, bitwise in gathered if rung == "mp")
+    # around each double-double centre it is one chunk of that rung, and taken
+    for nf in mp:
+        near = grid.points[np.abs(grid.points - landmarks.sources[nf.center]).max(1) < 0.08]
+        shared_blocks.clear()
+        gathered.clear()
+        t(near)
+        assert ("mp", True) in shared_blocks
+        from_block = [bitwise for rung, bitwise in gathered if rung == "mp"]
+        assert from_block and all(from_block)
 
 
 def test_block_larger_than_the_separate_blocks_is_refused(shared_blocks):
@@ -423,7 +462,7 @@ def test_block_larger_than_the_separate_blocks_is_refused(shared_blocks):
                                 ShepardConfig(ThinPlateSpline(), n_l=4, n_w=4))
     assert t.landmarks.n == 400
     assert_bitwise_per_node(t, GRID)
-    assert shared_blocks == [None]
+    assert shared_blocks == [("double", False)]
 
 
 def test_nodes_that_weigh_no_point_and_tiny_inputs(shared_blocks):

@@ -13,9 +13,9 @@ from landreg.kernels import (Gaussian, ThinPlateSpline, Wendland1D,
                              WendlandRadial, polynomial_tail_degree)
 from landreg.landmarks import LandmarkSet
 from landreg.lobachevsky import LobachevskySpline
-from landreg.transform import (SolveError, TensorProductTransform, _condition_from_lu,
-                               _factor64, _Problem, monomial_exponents, monomial_matrix,
-                               solve_transform)
+from landreg.transform import (LONGDOUBLE_IS_EXTENDED, SolveError, TensorProductTransform,
+                               _condition_from_lu, _factor64, _Problem, monomial_exponents,
+                               monomial_matrix, solve_transform)
 
 
 def grid_landmarks(n_side=4, lo=0.1, hi=0.9):
@@ -178,16 +178,29 @@ def test_wendland_far_field_is_exact_zero():
     assert np.array_equal(t(np.array([0.0, 0.0])), [0.0, 0.0])
 
 
-def test_evaluate_shapes():
-    src = grid_landmarks()
-    lm = LandmarkSet(src, src)
-    t = solve_transform(Gaussian(1.0), lm)
+@pytest.mark.parametrize("rung", ["double", "longdouble", "mp"])
+def test_evaluate_shapes(rung):
+    """Every rung evaluates by one path: (0, m), (m,) and batch input alike."""
+    if rung == "double":
+        src = grid_landmarks()
+        t = solve_transform(Gaussian(1.0), LandmarkSet(src, src))
+    else:
+        if rung == "longdouble" and not LONGDOUBLE_IS_EXTENDED:
+            pytest.skip("np.longdouble is float64 here: no 80-bit rung")
+        landmarks, _, _ = gen_case(CaseSpec("square-shift-32"))
+        t = build_method("g", landmarks, "square-shift-32", 0.4 if rung == "longdouble" else 0.2)
+    assert t.precision == rung
+    empty = t(np.zeros((0, 2)))
+    assert empty.shape == (0, 2) and empty.dtype == np.float64
     single = t(np.array([0.3, 0.7]))
-    assert single.shape == (2,)
+    assert single.shape == (2,) and single.dtype == np.float64
     batch = t(np.array([[0.3, 0.7], [0.1, 0.2]]))
-    assert batch.shape == (2, 2)
-    # batched and single evaluation may take different BLAS paths
+    assert batch.shape == (2, 2) and batch.dtype == np.float64
+    # batched and single evaluation may take different BLAS paths; a double-double
+    # product is a pairwise sum per row
     assert np.allclose(batch[0], single, rtol=0, atol=1e-13)
+    if rung == "mp":
+        assert np.array_equal(batch[0], single)
 
 
 # ---------------------------------------------------------------------------
