@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -103,7 +104,13 @@ def _cmd_real_life(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """regcli's argument parser, built once per process.
+
+    Parsing reads the parser and changes nothing in it: each call gets a
+    new namespace, and a refused command line leaves nothing behind.
+    """
     parser = argparse.ArgumentParser(
         prog="regcli",
         description="Landmark-based registration transforms and benchmarks.",

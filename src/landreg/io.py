@@ -1,11 +1,14 @@
 """Serialization: landmark CSV, grid CSV, config files, SVG grid renders.
 
-Both CSV formats go through one reader, ``_rows``, which checks the header
-and each row's field count, and one writer, ``_csv``, which also emits
-``regcli``'s sweep and real-life reports.  All emitters are deterministic
-(identical inputs give byte-identical text) and locale independent.
-Floats are written with 17 significant digits in CSV, which round-trips
-doubles losslessly, and with 3 decimals in SVG, which is display-only.
+Both CSV formats go through one reader, ``_table``, which reads a whole
+file in one pass: one numpy conversion of every field, and checks on whole
+arrays; only a malformed file goes on to a row loop that names its first
+bad line.  The grid and landmark CSVs and the SVG fill one template per
+file with one ``%`` operation (``_filled``); ``_csv`` writes ``regcli``'s
+sweep and real-life reports.  All emitters are deterministic (identical
+inputs give byte-identical text) and locale independent.  Floats are
+written with 17 significant digits in CSV, which round-trips doubles
+losslessly, and with 3 decimals in SVG, which is display-only.
 Config files name their kernel from one table, ``_KERNELS``.
 """
 
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -47,33 +51,77 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header, *map(",".join, rows)]) + "\n"
 
 
-def _formatted(*arrays) -> list[str]:
-    """The 17-digit text of each value of the arrays side by side, row by row."""
-    return [format(v, ".17g") for v in np.hstack(arrays).ravel().tolist()]
+def _filled(*parts) -> str:
+    """Each (template, table) part's template once per row of its table, filled from the rows.
+
+    One % operation formats every value of every part.
+    """
+    template = "".join(line * len(table) for line, table in parts)
+    return template % tuple(np.concatenate([np.ravel(table) for _, table in parts]).tolist())
 
 
-def _rows(text: str, header: str, width: int):
-    """Yield (line number, fields) of each non-blank row after the header line."""
+def _check_row(lineno: int, fields: list[str], width: int):
+    """Raise the ParseError of a malformed CSV row, checking in reading order.
+
+    The row has width fields.  Four numbers come first, each finite as
+    float() reads it; a landmark row's fifth field is its quasi flag, and a
+    quasi row's source must be its target.
+    """
+    if len(fields) != width:
+        raise ParseError(f"line {lineno}: expected {width} fields, got {len(fields)}")
+    for token in fields[:4]:
+        try:
+            value = float(token)
+        except ValueError:
+            raise ParseError(f"line {lineno}: {token!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ParseError(f"line {lineno}: non-finite coordinate {token!r}")
+    if width == 5:
+        flag = fields[4].strip()
+        if flag not in ("0", "1"):
+            raise ParseError(f"line {lineno}: quasi flag must be 0 or 1, got {flag!r}")
+        sx, sy, tx, ty = map(float, fields[:4])
+        if flag == "1" and (abs(sx - tx) > QUASI_TOLERANCE or abs(sy - ty) > QUASI_TOLERANCE):
+            raise ParseError(f"line {lineno}: quasi-landmark must have source == target")
+
+
+def _table(text: str, header: str, kind: str) -> np.ndarray:
+    """The non-blank rows after the header line as one (rows, fields) float array.
+
+    Every field is read as float() reads it, a landmark row's quasi flag
+    too.  A file is checked whole: the field count of each row, one numpy
+    conversion of all fields, then finiteness, flags and quasi coordinates
+    on whole arrays.  Only a malformed file goes on to the row loop, which
+    raises the ParseError of its first bad line.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != header:
         raise ParseError(f"line 1: expected header {header!r}")
+    rows = list(filter(str.strip, lines[1:]))
+    if not rows:
+        raise ParseError(f"no {kind} rows found")
+    width = header.count(",") + 1
+    if set(map(str.count, rows, repeat(","))) == {width - 1}:
+        tokens = ",".join(rows).split(",")
+        try:
+            table = np.array(tokens, dtype=float).reshape(-1, width)
+        except ValueError:              # some field is not a number
+            pass
+        else:
+            if np.isfinite(table).all() and (width == 4 or _quasi_rows_hold(table, tokens[4::5])):
+                return table
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != width:
-            raise ParseError(f"line {lineno}: expected {width} fields, got {len(fields)}")
-        yield lineno, fields
+        if line.strip():
+            _check_row(lineno, line.split(","), width)
+    raise AssertionError("the bulk checks refused a CSV file whose rows all pass")
 
 
-def _parse_float(token: str, lineno: int) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(f"line {lineno}: {token!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ParseError(f"line {lineno}: non-finite coordinate {token!r}")
-    return value
+def _quasi_rows_hold(table, flags) -> bool:
+    """Every quasi flag is 0 or 1, and each quasi row's source is its target."""
+    if not set(map(str.strip, flags)) <= {"0", "1"}:
+        return False
+    quasi = table[table[:, 4] == 1.0]
+    return not (np.abs(quasi[:, :2] - quasi[:, 2:4]) > QUASI_TOLERANCE).any()
 
 
 # ---------------------------------------------------------------------------
@@ -83,30 +131,16 @@ def write_landmarks(landmarks: LandmarkSet) -> str:
     """Landmark set as `sx,sy,tx,ty,quasi` CSV text (2D only)."""
     if landmarks.dimension != 2:
         raise ValueError("landmark CSV files are 2D only")
-    coords = iter(_formatted(landmarks.sources, landmarks.targets))
-    flags = ("1" if q else "0" for q in landmarks.quasi.tolist())
-    return _csv(LANDMARK_HEADER, zip(coords, coords, coords, coords, flags))
+    table = np.column_stack([landmarks.sources, landmarks.targets, landmarks.quasi])
+    return f"{LANDMARK_HEADER}\n" + _filled(("%.17g,%.17g,%.17g,%.17g,%d\n", table))
 
 
 def parse_landmarks(text: str) -> LandmarkSet:
     """Parse landmark CSV; quasi rows must satisfy source == target."""
-    coords, quasi = [], []
-    for lineno, fields in _rows(text, LANDMARK_HEADER, 5):
-        sx, sy, tx, ty = (_parse_float(f, lineno) for f in fields[:4])
-        flag = fields[4].strip()
-        if flag not in ("0", "1"):
-            raise ParseError(f"line {lineno}: quasi flag must be 0 or 1, got {flag!r}")
-        is_quasi = flag == "1"
-        if is_quasi and (abs(sx - tx) > QUASI_TOLERANCE or abs(sy - ty) > QUASI_TOLERANCE):
-            raise ParseError(f"line {lineno}: quasi-landmark must have source == target")
-        if is_quasi:
-            tx, ty = sx, sy
-        coords += (sx, sy, tx, ty)
-        quasi.append(is_quasi)
-    if not quasi:
-        raise ParseError("no landmark rows found")
-    coords = np.array(coords).reshape(-1, 2, 2)
-    return LandmarkSet(coords[:, 0].copy(), coords[:, 1].copy(), np.array(quasi))
+    table = _table(text, LANDMARK_HEADER, "landmark")
+    quasi = table[:, 4] == 1.0
+    sources = table[:, :2].copy()
+    return LandmarkSet(sources, np.where(quasi[:, None], sources, table[:, 2:4]), quasi)
 
 
 # ---------------------------------------------------------------------------
@@ -118,19 +152,13 @@ def write_grid_csv(points, values) -> str:
     values = np.atleast_2d(np.asarray(values, float))
     if points.shape != values.shape or points.shape[1] != 2:
         raise ValueError("points and values must both have shape (P, 2)")
-    fields = iter(_formatted(points, values))
-    return _csv(GRID_HEADER, zip(fields, fields, fields, fields))
+    return f"{GRID_HEADER}\n" + _filled(("%.17g,%.17g,%.17g,%.17g\n", np.hstack([points, values])))
 
 
 def parse_grid_csv(text: str):
     """Parse `x,y,fx,fy` text back into (points, values) arrays."""
-    flat = []
-    for lineno, fields in _rows(text, GRID_HEADER, 4):
-        flat += (_parse_float(f, lineno) for f in fields)
-    if not flat:
-        raise ParseError("no grid rows found")
-    table = np.array(flat).reshape(-1, 2, 2)
-    return table[:, 0].copy(), table[:, 1].copy()
+    table = _table(text, GRID_HEADER, "grid")
+    return table[:, :2].copy(), table[:, 2:].copy()
 
 
 def infer_grid_shape(points) -> tuple[int, int]:
@@ -155,6 +183,10 @@ def infer_grid_shape(points) -> tuple[int, int]:
 # SVG rendering
 
 SVG_SCALE = 1000.0
+_SVG_HEAD = ('<?xml version="1.0" encoding="UTF-8"?>\n'
+             '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="0 0 1000 1000">\n')
+_CIRCLE = '<circle cx="%.3f" cy="%.3f" r="5" fill="none" stroke="blue" stroke-width="1.5"/>\n'
+_CROSS = '<path stroke="red" stroke-width="1.5" d="M %.3f %.3f L %.3f %.3f M %.3f %.3f L %.3f %.3f"/>\n'
 
 
 def render_grid_svg(original: EvaluationGrid, deformed, landmarks: LandmarkSet | None = None) -> str:
@@ -170,29 +202,20 @@ def render_grid_svg(original: EvaluationGrid, deformed, landmarks: LandmarkSet |
         raise ValueError(
             f"deformed grid has {pts.shape} points, expected ({rows * cols}, 2)"
         )
-    coords = iter([format(v, ".3f") for v in (pts * SVG_SCALE).ravel().tolist()])
-    pairs = [f"{x},{y}" for x, y in zip(coords, coords)]
-
-    def polyline(strand):
-        return f'<polyline fill="none" stroke="black" stroke-width="1" points="{" ".join(strand)}"/>'
-
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        'viewBox="0 0 1000 1000">',
-    ]
-    lines += (polyline(pairs[i * cols:(i + 1) * cols]) for i in range(rows))
-    lines += (polyline(pairs[j::cols]) for j in range(cols))
+    parts = [("%.3f,%.3f\n", pts * SVG_SCALE)]
     if landmarks is not None:
-        for x, y in (landmarks.sources * SVG_SCALE).tolist():
-            lines.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="5" '
-                         f'fill="none" stroke="blue" stroke-width="1.5"/>')
-        for cx, cy in (landmarks.targets * SVG_SCALE).tolist():
-            lines.append(f'<path stroke="red" stroke-width="1.5" '
-                         f'd="M {cx - 5:.3f} {cy:.3f} L {cx + 5:.3f} {cy:.3f} '
-                         f'M {cx:.3f} {cy - 5:.3f} L {cx:.3f} {cy + 5:.3f}"/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        if landmarks.dimension != 2:
+            raise ValueError("landmark markers are 2D only")
+        cx, cy = (landmarks.targets * SVG_SCALE).T
+        parts += [(_CIRCLE, landmarks.sources * SVG_SCALE),
+                  (_CROSS, np.column_stack([cx - 5, cy, cx + 5, cy, cx, cy - 5, cx, cy + 5]))]
+    # each point's "x,y" on a line of its own, then the markers' lines
+    *pairs, markers = _filled(*parts).split("\n", rows * cols)
+    strands = ([pairs[i * cols:(i + 1) * cols] for i in range(rows)]
+               + [pairs[j::cols] for j in range(cols)])
+    polylines = "".join(f'<polyline fill="none" stroke="black" stroke-width="1" '
+                        f'points="{" ".join(strand)}"/>\n' for strand in strands)
+    return _SVG_HEAD + polylines + markers + "</svg>\n"
 
 
 # ---------------------------------------------------------------------------

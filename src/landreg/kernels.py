@@ -143,15 +143,25 @@ def _wendland_poly(group: int, h: int, u):
 def _wendland_value(group: int, h: int, c: float, r, work=None):
     """The Wendland function of u = c r: the polynomial on [0, 1), exact zeros beyond.
 
-    u goes into work where given.  u >= 1 is clamped to 1 in place, where
-    every polynomial is exactly +0, because a negative base 1 - u sends pow
-    down its slow path (about 150 ns an entry in float64).
+    u goes into work where given.  Where every u < 1, the polynomial runs on
+    the whole block.  Otherwise an ndarray takes it on the entries inside
+    only, and its values go into u's array, +0.0 elsewhere: the bits of the
+    polynomial at u = 1, without its powers of a zero base, which send pow
+    down a slow path (about four times the cost of a base in (0, 1] in
+    float64; a negative base is slower still).  A DDArray clamps those u to
+    1 instead.
     """
     u = np.multiply(r, c, out=work)
     inside = u < 1.0
-    if not inside.all():
+    if inside.all():
+        return _wendland_poly(group, h, u)
+    if not isinstance(u, np.ndarray):
         u[~inside] = 1.0
-    return _wendland_poly(group, h, u)
+        return _wendland_poly(group, h, u)
+    values = _wendland_poly(group, h, u[inside])
+    u.fill(0.0)
+    u[inside] = values
+    return u
 
 
 def _square(r, out=None):
@@ -164,7 +174,8 @@ def _radial(kernel: RadialKernel, r, work=None):
 
     Each formula runs its first step into work (a new array without it) and
     the rest in place, in the order of the plain expression, so the bits are
-    the same; Wendland's polynomial of u = c r then makes new arrays.  With
+    the same; Wendland's polynomial of u = c r then makes new arrays, of the
+    entries inside the support only where some are outside.  With
     work, r is overwritten too: the thin plate spline takes log r there.  A
     DDArray takes no work; its steps make new arrays.
     """
@@ -200,8 +211,8 @@ def eval_radial(kernel: RadialKernel, r, work=None):
     """Evaluate a radial kernel at distance(s) r >= 0, elementwise.
 
     work, a float array of r's shape and dtype, is space for the values:
-    each kernel builds them there (Wendland's, its u = c r), and r may be
-    overwritten.
+    each kernel builds them there (Wendland's, its u = c r, and its values
+    where some u >= 1), and r may be overwritten.
     """
     scalar = np.isscalar(r) or np.ndim(r) == 0
     r = np.atleast_1d(r)

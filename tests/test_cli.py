@@ -1,3 +1,4 @@
+import argparse
 import csv
 import tempfile
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landreg import bench
+from landreg import bench, cli
 from landreg.cli import cli_main
 from test_io import config_texts
 
@@ -244,3 +245,48 @@ def test_cli_exits_0_1_or_2_on_any_input_files(landmarks, config, grid):
             run("rmse", "--a", path["grid.csv"], "--b", path["grid.csv"]),
         ]
     assert set(codes) <= {0, 1, 2}, codes
+
+
+def test_commands_share_one_parser_and_behave_as_with_fresh_ones(tmp_path, monkeypatch, capsys):
+    """gen-case, solve, render, a usage error, a numerical failure, --help and another usage
+    error, then solve and render again: one parser build, and a fresh parser's codes and files."""
+    def sequence(out):
+        out.mkdir()
+        lm, collinear, cfg = out / "lm.csv", out / "collinear.csv", out / "k.cfg"
+        assert run("gen-case", "--case", "square-shift-32", "--out", str(lm)) == 0
+        collinear.write_text("sx,sy,tx,ty,quasi\n" + "".join(
+            f"{x},0.5,{x},0.6,0\n" for x in np.linspace(0.1, 0.9, 5)))
+        cfg.write_text("kernel = tps\n")
+        solve = ["solve", "--config", str(cfg), "--grid-out", str(out / "grid.csv")]
+        render = ["render", "--grid", str(out / "grid.csv"), "--out", str(out / "grid.svg"),
+                  "--landmarks", str(lm)]
+        codes = [run(*solve, "--landmarks", str(lm)), run(*render),
+                 run("render", "--grid", str(out / "grid.csv"), "--bogus"),
+                 run(*solve[:-1], str(out / "failed.csv"), "--landmarks", str(collinear)),
+                 run("--help"),
+                 run("solve", "--landmarks", str(lm), "--config", str(cfg)),
+                 run(*solve, "--landmarks", str(lm)), run(*render[:-2])]
+        capsys.readouterr()
+        return codes, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    shared = sequence(tmp_path / "shared")
+    one_build = len(built)
+    cli._build_parser.__wrapped__()
+    assert one_build == len(built) - one_build > 0          # the whole sequence built one parser
+    assert cli._build_parser() is cli._build_parser()
+
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = sequence(tmp_path / "fresh")
+    assert len(built) > 3 * one_build                       # a parser per command
+    assert shared == fresh
+    assert shared[0] == [0, 0, 1, 2, 0, 1, 0, 0]
+    assert "failed.csv" not in shared[1]

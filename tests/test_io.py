@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from landreg.bench import CaseSpec, default_grid, gen_case
-from landreg.io import (ConfigError, ParseError, infer_grid_shape,
-                        method_from_config, parse_config, parse_grid_csv,
-                        parse_landmarks, render_grid_svg, write_grid_csv,
+from landreg.io import (GRID_HEADER, LANDMARK_HEADER, QUASI_TOLERANCE, SVG_SCALE, ConfigError,
+                        ParseError, infer_grid_shape, method_from_config, parse_config,
+                        parse_grid_csv, parse_landmarks, render_grid_svg, write_grid_csv,
                         write_landmarks)
 from landreg.landmarks import LandmarkSet
 
@@ -249,3 +251,205 @@ def test_method_from_config_returns_a_builder_or_a_config_error(text):
     except (ConfigError, ParseError):
         return
     assert callable(build)
+
+
+# ---------------------------------------------------------------------------
+# the bulk reader and writers against the per-row, per-value code they replace
+
+def reference_rows(text, header, width):
+    """The row loop: (line number, fields) of each non-blank row after the header."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != header:
+        raise ParseError(f"line 1: expected header {header!r}")
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != width:
+            raise ParseError(f"line {lineno}: expected {width} fields, got {len(fields)}")
+        yield lineno, fields
+
+
+def reference_float(token, lineno):
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(f"line {lineno}: {token!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ParseError(f"line {lineno}: non-finite coordinate {token!r}")
+    return value
+
+
+def reference_parse_landmarks(text):
+    coords, quasi = [], []
+    for lineno, fields in reference_rows(text, LANDMARK_HEADER, 5):
+        sx, sy, tx, ty = (reference_float(f, lineno) for f in fields[:4])
+        flag = fields[4].strip()
+        if flag not in ("0", "1"):
+            raise ParseError(f"line {lineno}: quasi flag must be 0 or 1, got {flag!r}")
+        is_quasi = flag == "1"
+        if is_quasi and (abs(sx - tx) > QUASI_TOLERANCE or abs(sy - ty) > QUASI_TOLERANCE):
+            raise ParseError(f"line {lineno}: quasi-landmark must have source == target")
+        if is_quasi:
+            tx, ty = sx, sy
+        coords += (sx, sy, tx, ty)
+        quasi.append(is_quasi)
+    if not quasi:
+        raise ParseError("no landmark rows found")
+    coords = np.array(coords).reshape(-1, 2, 2)
+    return LandmarkSet(coords[:, 0].copy(), coords[:, 1].copy(), np.array(quasi))
+
+
+def reference_parse_grid_csv(text):
+    flat = []
+    for lineno, fields in reference_rows(text, GRID_HEADER, 4):
+        flat += (reference_float(f, lineno) for f in fields)
+    if not flat:
+        raise ParseError("no grid rows found")
+    table = np.array(flat).reshape(-1, 2, 2)
+    return table[:, 0].copy(), table[:, 1].copy()
+
+
+def outcome(parse, text):
+    """Each returned array's dtype, shape and bytes, or the exception's type and message."""
+    try:
+        result = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, LandmarkSet):
+        result = (result.sources, result.targets, result.quasi)
+    return [(a.dtype, a.shape, a.tobytes()) for a in result]
+
+
+GOOD_NUMBERS = st.one_of(DOUBLES.map(lambda v: format(v, ".17g")), st.floats(-2, 2).map(repr),
+                         st.sampled_from(["1_0", " 0.5 ", "\t-1\t", "-0", "+.5", "1e-400", "٣",
+                                          "0.1　"]))
+FAULTY = {
+    "header": st.sampled_from(["x,y", "", "sx,sy,tx,ty", "x,y,fx,fy,quasi"]),
+    "not a number": st.sampled_from(["0x10", "", "frog", "1_", "1\x00", "1.5.2", "\x85"]),
+    "non-finite": st.sampled_from(["nan", "-inf", "inf", "1e999", "NaN"]),
+    "width": st.sampled_from([-2, -1, 1]),
+    "flag": st.sampled_from(["2", "", "1.0", "x", "-0", "01"]),
+    "quasi": st.sampled_from([1e-13, 1e-11, 0.5]),
+}
+SEPARATORS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+BLANKS = st.sampled_from(["", " ", "\t", "\r"])
+
+
+def shifted(token, shift):
+    """The text of token's number plus shift, or token if it is not a number."""
+    try:
+        return repr(float(token) + shift)
+    except ValueError:
+        return token
+
+
+# either header over any text of a CSV's characters
+JUNK_CSV = st.builds("{}\n{}".format, st.sampled_from([LANDMARK_HEADER, GRID_HEADER]),
+                     st.text(alphabet="0123456789.,-e_ \t\r\n\x85xyfsqtuai", max_size=60))
+
+
+@st.composite
+def csv_texts(draw, header):
+    """Texts of the CSV format with this header: valid, or with faults of one kind or of all.
+
+    Any file may have blank lines, CRLF or CR endings and spaces around
+    fields.  A fault is a bad header, a field that is not a number or not
+    finite, a short or long row, a bad quasi flag, or a quasi row whose
+    source is not its target (past the tolerance or within it).
+    """
+    width = header.count(",") + 1
+    kinds = draw(st.sampled_from([(), ("all",), *[(kind,) for kind in FAULTY]]))
+    kinds = set(FAULTY) if kinds == ("all",) else set(kinds)
+
+    def fault(kind):
+        return kind in kinds and draw(st.integers(0, 3)) == 0
+
+    lines = [draw(FAULTY["header"]) if fault("header")
+             else header if draw(st.booleans()) else f" {header}\t"]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(BLANKS))
+        fields = [draw(GOOD_NUMBERS) for _ in range(4)]
+        for kind in ("not a number", "non-finite"):
+            if fault(kind):
+                fields[draw(st.integers(0, 3))] = draw(FAULTY[kind])
+        if width == 5:
+            flag = draw(FAULTY["flag"]) if fault("flag") else draw(st.sampled_from(
+                ["0", "1", " 1 ", "0\t"]))
+            if flag.strip() == "1":
+                fields[2:4] = fields[:2]
+                if fault("quasi"):
+                    fields[3] = shifted(fields[3], draw(FAULTY["quasi"]))
+            fields.append(flag)
+        if fault("width"):
+            change = draw(FAULTY["width"])
+            fields = fields[:width + change] if change < 0 else fields + ["0"] * change
+        lines.append(",".join(fields))
+    return draw(SEPARATORS).join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(csv_texts(LANDMARK_HEADER), JUNK_CSV))
+def test_landmark_reader_matches_the_row_loop(text):
+    assert outcome(parse_landmarks, text) == outcome(reference_parse_landmarks, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(csv_texts(GRID_HEADER), JUNK_CSV))
+def test_grid_reader_matches_the_row_loop(text):
+    assert outcome(parse_grid_csv, text) == outcome(reference_parse_grid_csv, text)
+
+
+def reference_csv(header, table):
+    """The CSV text of a float table, one format(v, ".17g") per value."""
+    fields = [format(v, ".17g") for v in np.asarray(table).ravel().tolist()]
+    width = np.shape(table)[1]
+    rows = [",".join(fields[i:i + width]) for i in range(0, len(fields), width)]
+    return "\n".join([header, *rows]) + "\n"
+
+
+def reference_svg(grid, deformed, landmarks):
+    """The SVG of render_grid_svg, one format(v, ".3f") per value."""
+    coords = iter([format(v, ".3f") for v in (deformed * SVG_SCALE).ravel().tolist()])
+    pairs = [f"{x},{y}" for x, y in zip(coords, coords)]
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
+             '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="0 0 1000 1000">']
+    strands = ([pairs[i * grid.cols:(i + 1) * grid.cols] for i in range(grid.rows)]
+               + [pairs[j::grid.cols] for j in range(grid.cols)])
+    lines += [f'<polyline fill="none" stroke="black" stroke-width="1" points="{" ".join(s)}"/>'
+              for s in strands]
+    if landmarks is not None:
+        for x, y in (landmarks.sources * SVG_SCALE).tolist():
+            lines.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="5" '
+                         f'fill="none" stroke="blue" stroke-width="1.5"/>')
+        for cx, cy in (landmarks.targets * SVG_SCALE).tolist():
+            lines.append(f'<path stroke="red" stroke-width="1.5" '
+                         f'd="M {cx - 5:.3f} {cy:.3f} L {cx + 5:.3f} {cy:.3f} '
+                         f'M {cx:.3f} {cy - 5:.3f} L {cx:.3f} {cy + 5:.3f}"/>')
+    return "\n".join(lines + ["</svg>"]) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(DOUBLES, DOUBLES, DOUBLES, DOUBLES, st.booleans()), min_size=1,
+                max_size=6))
+def test_writers_match_per_value_formatting(rows):
+    table = np.array([row[:4] for row in rows])
+    assert write_grid_csv(table[:, :2], table[:, 2:]) == reference_csv(GRID_HEADER, table)
+    quasi = np.array([row[4] for row in rows])
+    sources = table[:, :2]
+    try:
+        landmarks = LandmarkSet(sources, np.where(quasi[:, None], sources, table[:, 2:]), quasi)
+    except ValueError:
+        landmarks = None                # coincident sources
+    if landmarks is not None:
+        flagged = np.column_stack([landmarks.sources, landmarks.targets])
+        want = reference_csv(LANDMARK_HEADER, flagged).splitlines()
+        want = [want[0]] + [f"{line},{int(q)}" for line, q in zip(want[1:], quasi.tolist())]
+        assert write_landmarks(landmarks) == "\n".join(want) + "\n"
+    grid = default_grid(1, len(rows)) if len(rows) % 2 else default_grid(2, len(rows) // 2)
+    with np.errstate(over="ignore"):            # scaled to the viewBox, 1e308 is inf
+        for deformed in (table[:, :2], table[:, 2:]):
+            for markers in (None, landmarks):
+                assert (render_grid_svg(grid, deformed, markers)
+                        == reference_svg(grid, deformed, markers))

@@ -308,6 +308,33 @@ def test_in_place_formulas_keep_the_bits_of_the_plain_expressions(kernel, dtype)
     assert _same_bits(kept, r)              # without work, r is left as it was
 
 
+def _clamped_wendland(group, h, u):
+    """The Wendland value with every u >= 1 (or NaN) clamped to 1 before the polynomial."""
+    u = u.copy()
+    u[~(u < 1.0)] = 1.0
+    return _wendland_poly(group, h, u)
+
+
+@pytest.mark.parametrize("m, h", [(1, 3), (2, 0), (2, 1), (3, 2)])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_wendland_values_outside_the_support_are_the_clamped_formulas_zeros(m, h, dtype):
+    rng = np.random.default_rng(m + 4 * h)
+    edge = [0.0, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1.5, 1e300, np.inf]
+    mixed = rng.permutation(np.concatenate([edge * 50, rng.uniform(0.0, 3.0, 650)]))
+    outside = np.concatenate([[1.0, 1.5, 1e300, np.inf, np.nan], rng.uniform(1.0, 9.0, 200)])
+    kernel, group = WendlandRadial(m, h, 0.5), 1 if m == 1 else 2
+    for u in (mixed.reshape(25, 40), outside):
+        u = u.astype(dtype)
+        r = u / dtype(0.5)          # exact: u = 0.5 r
+        want = _clamped_wendland(group, h, u)
+        for work in (None, np.full_like(r, np.nan)):
+            got = eval_radial(kernel, r.copy(), work)
+            assert got.dtype == dtype and got.shape == u.shape and _same_bits(got, want)
+        got = _wendland_value(1, h, 1.0, u.copy())
+        assert _same_bits(got, _clamped_wendland(1, h, u))
+    assert not np.signbit(got).any() and not got.any()      # all +0.0 outside
+
+
 def test_scalar_and_array_shapes():
     k = WendlandRadial(2, 1, 1.0)
     assert isinstance(eval_radial(k, 0.5), float)
