@@ -17,6 +17,7 @@ on purpose and callers must choose.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -314,6 +315,8 @@ class SweepReport:
 
 
 def parameter_values(start: float, stop: float, count: int) -> np.ndarray:
+    if not isinstance(count, numbers.Integral):
+        raise ValueError(f"a parameter sweep's count must be an integer, got {count!r}")
     if count < 2:
         raise ValueError("parameter sweeps need at least 2 values")
     if not stop > start:
@@ -327,17 +330,19 @@ def sweep(method: str, case: CaseSpec, param_range: Optional[tuple] = None,
 
     Solve failures are recorded as missing values (None) and skipped by the
     argmin; the sweep only fails if every value fails.  Parameter-free
-    methods produce a single-row report.
+    methods produce a single-row report and take no param_range.
     """
     landmarks, grid, _ = gen_case(case)
     param = METHOD_PARAMETERS.get(method)
     if method not in METHOD_PARAMETERS:
         raise ValueError(f"unknown method {method!r}; choose from {METHOD_NAMES}")
     if param is None:
+        if param_range is not None:
+            raise ValueError(f"method {method!r} has no shape parameter to sweep over a range")
         values = [None]
     else:
         start, stop, count = DEFAULT_RANGES[param] if param_range is None else param_range
-        values = list(parameter_values(start, stop, int(count)))
+        values = list(parameter_values(start, stop, count))
     rmses, conditions = [], []
     for value in values:
         try:

@@ -147,12 +147,22 @@ def parse_landmarks(text: str) -> LandmarkSet:
 # grid CSV
 
 def write_grid_csv(points, values) -> str:
-    """Grid evaluation as `x,y,fx,fy` rows, row-major point order."""
+    """Grid evaluation as `x,y,fx,fy` rows, row-major point order.
+
+    A lattice repeats each x and y value along its columns and rows, so each
+    distinct point coordinate is formatted once and its text gathered into
+    every row.  Coordinates are told apart by their bits: -0.0 stays "-0".
+    """
     points = np.atleast_2d(np.asarray(points, float))
     values = np.atleast_2d(np.asarray(values, float))
     if points.shape != values.shape or points.shape[1] != 2:
         raise ValueError("points and values must both have shape (P, 2)")
-    return f"{GRID_HEADER}\n" + _filled(("%.17g,%.17g,%.17g,%.17g\n", np.hstack([points, values])))
+    bits, inverse = np.unique(points.ravel().view(np.int64), return_inverse=True)
+    texts = _filled(("%.17g,", bits.view(float))).split(",")
+    cells = np.hstack([points, values]).ravel().tolist()
+    cells[0::4] = map(texts.__getitem__, inverse[0::2].tolist())
+    cells[1::4] = map(texts.__getitem__, inverse[1::2].tolist())
+    return f"{GRID_HEADER}\n" + ("%s,%s,%.17g,%.17g\n" * len(points)) % tuple(cells)
 
 
 def parse_grid_csv(text: str):

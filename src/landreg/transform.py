@@ -30,13 +30,16 @@ of its dtype or, for double-double, on DDArrays.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from itertools import combinations_with_replacement
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dlange
 
 from . import _precision
 from ._dd import DDArray
@@ -438,11 +441,43 @@ def _entry_bytes(z):
 # ---------------------------------------------------------------------------
 # the solver ladder
 
+def _load_flapack():
+    """scipy's compiled LAPACK module, scipy.linalg._flapack, without importing scipy.linalg.
+
+    landreg calls four of its routines.  scipy.linalg's Python layer would
+    more than double landreg's import time and add about 24 MB at every
+    start (its array-API layer alone imports numpy.f2py, numpy.testing,
+    numpy.random and numpy.ma).  Only the top-level scipy package is
+    imported: its start-up makes scipy's bundled OpenBLAS findable on
+    Windows.  The module is loaded under its own name and recorded in
+    sys.modules, so a later import of scipy.linalg reuses it and its routines
+    are the very objects scipy.linalg.lapack exports.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+    finder = FileFinder(os.path.join(scipy.__path__[0], "linalg"),
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no compiled {name} module", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dgecon, dgetrf, dgetrs, dlange = _flapack.dgecon, _flapack.dgetrf, _flapack.dgetrs, _flapack.dlange
+
+
 def _lu_solve(lu_piv, b):
     """scipy.linalg.lu_solve for float64 factors and finite b, minus its wrapper.
 
-    The same LAPACK getrs call; skipping scipy's argument checks and batch
-    dispatch matters for the many small systems of Shepard's nodal solves.
+    The same LAPACK getrs call, from the module _load_flapack loads;
+    skipping scipy's argument checks and batch dispatch matters for the
+    many small systems of Shepard's nodal solves.
     """
     x, info = dgetrs(lu_piv[0], lu_piv[1], b)
     if info:
@@ -486,9 +521,9 @@ def _condition_from_lu(matrix, lu_piv):
     return float(f"{1.0 / rcond:.{CONDITION_DIGITS - 1}e}")
 
 
-# LAPACK getrf of one float64 matrix, returning (LU, pivots, info): the call
-# scipy.linalg.lu_factor makes, without its wrapper.  Looked up by this name at
-# call time, so perfbench's tracer can time it.
+# LAPACK getrf of one float64 matrix, returning (LU, pivots, info), from the
+# module _load_flapack loads: the call scipy.linalg.lu_factor makes, without
+# its wrapper.  Looked up by this name at call time, so perfbench's tracer can time it.
 lu_factor = dgetrf
 
 

@@ -122,6 +122,20 @@ def test_sweep_parameter_free_method():
     assert report.reported_rmse == pytest.approx(4.3460e-2)
 
 
+def test_sweep_refuses_a_range_for_a_parameter_free_method():
+    for method in ("tps", "shep-tps"):
+        with pytest.raises(ValueError, match="no shape parameter"):
+            sweep(method, CaseSpec("square-shift-32"), param_range=(0.4, 2.0, 3))
+
+
+def test_sweep_refuses_a_count_that_is_not_an_integer():
+    for count in (2.9, 3.0, "3"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            sweep("w2-2d", CaseSpec("square-shift-32"), param_range=(0.2, 0.4, count))
+    report = sweep("w2-2d", CaseSpec("square-shift-32"), param_range=(0.2, 0.4, np.int64(3)))
+    assert len(report.values) == 3
+
+
 def test_sweep_l4_produces_finite_report():
     report = sweep("l4", CaseSpec("square-shift-32"))
     assert report.parameter == "alpha"

@@ -103,6 +103,20 @@ def test_sweep_with_custom_range(tmp_path):
     assert sum(line.split(",")[6] == "1" for line in lines[1:]) == 1
 
 
+def test_sweep_refuses_a_range_for_a_parameter_free_method(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    for method in ("tps", "shep-tps"):
+        assert run("sweep", "--case", "square-shift-32", "--method", method,
+                   "--reference", "identity", "--out", str(out),
+                   "--start", "0.4", "--stop", "2", "--count", "3") == 1
+        assert "no shape parameter" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("sweep", "--case", "square-shift-32", "--method", "w2-2d",
+               "--reference", "identity", "--out", str(out),
+               "--start", "0.2", "--stop", "0.6", "--count", "2.9") == 1
+    assert not out.exists()
+
+
 def test_real_life_report(tmp_path):
     out = tmp_path / "rl-report.csv"
     assert run("real-life", "--out", str(out)) == 0

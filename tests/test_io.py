@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from landreg.bench import CaseSpec, default_grid, gen_case
@@ -430,12 +430,22 @@ def reference_svg(grid, deformed, landmarks):
     return "\n".join(lines + ["</svg>"]) + "\n"
 
 
+# scattered points: every coordinate distinct
+SCATTERED_ROWS = [(*row, False) for row in np.random.default_rng(7).random((6, 4)).tolist()]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(DOUBLES, DOUBLES, DOUBLES, DOUBLES, st.booleans()), min_size=1,
                 max_size=6))
+@example(SCATTERED_ROWS)
 def test_writers_match_per_value_formatting(rows):
     table = np.array([row[:4] for row in rows])
     assert write_grid_csv(table[:, :2], table[:, 2:]) == reference_csv(GRID_HEADER, table)
+    # a lattice repeats its coordinates, and its x column holds both -0.0 and 0.0
+    xs = np.concatenate([table[:, 0], [-0.0, 0.0]])
+    lattice = np.stack(np.meshgrid(xs, table[:, 1]), axis=-1).reshape(-1, 2)
+    assert (write_grid_csv(lattice, lattice[::-1])
+            == reference_csv(GRID_HEADER, np.hstack([lattice, lattice[::-1]])))
     quasi = np.array([row[4] for row in rows])
     sources = table[:, :2]
     try:

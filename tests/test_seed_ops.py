@@ -1,6 +1,9 @@
 """tools/seed_ops.py: the seed-case record and its bitwise comparison."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +94,43 @@ def test_record_regcli_holds_the_bytes_of_every_emitted_file():
     sweep = records["square-shift-32|w2-2d"]["sweep_csv"].item().splitlines()
     assert sweep[0].startswith(b"method,case,") and sweep[1].startswith(b"w2-2d,square-shift-32,c,")
     assert records["real-life|report"]["real_life_csv"].item().count(b"\n") == 7
+
+def test_a_script_run_pins_blas_threads_before_numpy_loads(tmp_path):
+    # landreg is made unimportable, so the dump stops at its first operation
+    code = ("import os, runpy, sys\n"
+            "assert 'numpy' not in sys.modules\n"
+            f"sys.argv = [{str(TOOL_PATH)!r}, 'dump', {str(tmp_path / 'x.npz')!r}]\n"
+            "sys.modules['landreg'] = None\n"
+            "try:\n"
+            "    runpy.run_path(sys.argv[0], run_name='__main__')\n"
+            "except ImportError:\n"
+            "    print(os.environ['OPENBLAS_NUM_THREADS'])\n")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    for caller, pinned in ((None, "1"), ("2", "2")):
+        if caller is not None:
+            env["OPENBLAS_NUM_THREADS"] = caller
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        assert out.split() == [pinned]
+
+
+def test_dump_records_the_blas_thread_setting_and_compare_lists_it(tmp_path, monkeypatch, capsys):
+    tool = load_tool()
+    for name in ("operations", "record_dense", "record_regcli"):
+        monkeypatch.setattr(tool, name, lambda: iter(()))
+    a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    tool.dump(str(a))
+    with np.load(a) as fields:
+        assert fields.files == ["blas|OPENBLAS_NUM_THREADS"]
+        assert str(fields["blas|OPENBLAS_NUM_THREADS"]) == "1"
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    tool.dump(str(b))
+    capsys.readouterr()
+    assert tool.main(["compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "blas|OPENBLAS_NUM_THREADS: differs" in out and "1 of 1 fields differ" in out
+
 
 X87 = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize > 10
 

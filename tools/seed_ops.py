@@ -33,15 +33,26 @@ move values at rounding level can be read off the same report.  An x87 80-bit lo
 in 12 or 16 bytes, of which only the first 10 carry the value; ``compare``
 reads those and ignores the padding, which numpy leaves as whatever was in
 memory.
+
+OpenBLAS reads its thread count once, when numpy loads it, and a few
+scale-dense fields move with it.  So a script run sets
+OPENBLAS_NUM_THREADS=1 before numpy loads, unless the caller has set it,
+and ``dump`` records the setting as the field ``blas|OPENBLAS_NUM_THREADS``
+("unset" where it is not set): ``compare`` lists it for two dumps made at
+different settings.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import os
 import sys
 import tempfile
 from pathlib import Path
+
+if __name__ == "__main__":
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -178,7 +189,7 @@ def record_regcli():
 
 
 def dump(path: str) -> int:
-    fields = {}
+    fields = {"blas|OPENBLAS_NUM_THREADS": np.array(os.environ.get("OPENBLAS_NUM_THREADS", "unset"))}
     for method, case, value in operations():
         for name, array in record(method, case, value).items():
             fields[f"{method}|{case}|{value}|{name}"] = array
