@@ -319,8 +319,9 @@ def parameter_values(start: float, stop: float, count: int) -> np.ndarray:
         raise ValueError(f"a parameter sweep's count must be an integer, got {count!r}")
     if count < 2:
         raise ValueError("parameter sweeps need at least 2 values")
-    if not stop > start:
-        raise ValueError("parameter range must be increasing")
+    # the span in Python floats: a numpy float64 one warns where it overflows
+    if not (stop > start and np.isfinite(float(stop) - float(start))):
+        raise ValueError(f"parameter range must be finite and increasing, got {start} to {stop}")
     return np.linspace(start, stop, count)
 
 

@@ -21,11 +21,17 @@ floor eps * ||A|| * ||c|| of a fixed-precision pipeline is unreachable in
 float64 and marginal even in 80-bit arithmetic; such systems escalate to a
 multi-precision (double-double, about 32 digits) rung, tagged ``"mp"``.
 Where ``np.longdouble`` is no wider than float64 (Windows, macOS on arm64)
-the 80-bit rung is skipped.  A transform keeps the precision it was solved
-at and evaluates its kernels at that same precision, since rounding its
-coefficients or kernel values any lower would re-inject the full error.
-Every rung assembles and evaluates by the same _Problem code, on ndarrays
-of its dtype or, for double-double, on DDArrays.
+the 80-bit rung is skipped.  Each rung attempts the systems no lower rung
+accepted, and a system keeps its best attempt so far: least max |r| over
+the interpolation rows, a tie going to the higher rung.  float64 and 80-bit
+accept a system whose best attempt is their own and within
+ESCALATE_THRESHOLD or MP_THRESHOLD times max(1, |t|_inf).  The top rung
+takes the best attempt of any rung, with its tag, within RESIDUAL_LIMIT
+times that scale, and raises SolveError beyond it.  A transform keeps the
+precision it was solved at and evaluates its kernels at that same
+precision, since rounding its coefficients or kernel values any lower would
+re-inject the full error.  Every rung assembles and evaluates by the same
+_Problem code, on ndarrays of its dtype or, for double-double, on DDArrays.
 """
 
 from __future__ import annotations
@@ -472,28 +478,19 @@ _flapack = _load_flapack()
 dgecon, dgetrf, dgetrs, dlange = _flapack.dgecon, _flapack.dgetrf, _flapack.dgetrs, _flapack.dlange
 
 
-def _lu_solve(lu_piv, b):
-    """scipy.linalg.lu_solve for float64 factors and finite b, minus its wrapper.
-
-    The same LAPACK getrs call, from the module _load_flapack loads;
-    skipping scipy's argument checks and batch dispatch matters for the
-    many small systems of Shepard's nodal solves.
-    """
-    x, info = dgetrs(lu_piv[0], lu_piv[1], b)
-    if info:
-        raise ValueError(f"illegal value in argument {-info} of getrs")
-    return x
-
-
 def _lu_solve_stack(factors, b):
-    """Solve the stack b (S, n, m), system i with the float64 factors[i].
+    """Solve the stack b (S, n, m), system i with the float64 factors[i], by LAPACK getrs.
 
-    Each solution is Fortran-ordered, as getrs returns it for one system,
-    so BLAS products with it carry the bits of a single system's solve.
+    The call scipy.linalg.lu_solve makes, without the argument checks and
+    batch dispatch of its wrapper, which matter for Shepard's many small
+    systems.  Each solution is Fortran-ordered, as getrs returns it for one
+    system, so BLAS products with it carry the bits of a single system's solve.
     """
     x = np.empty((len(b), b.shape[2], b.shape[1])).transpose(0, 2, 1)
-    for lu_piv, x_i, b_i in zip(factors, x, b):
-        x_i[...] = _lu_solve(lu_piv, b_i)
+    for (lu, piv), x_i, b_i in zip(factors, x, b):
+        x_i[...], info = dgetrs(lu, piv, b_i)
+        if info:
+            raise ValueError(f"illegal value in argument {-info} of getrs")
     return x
 
 
@@ -539,62 +536,64 @@ def _solve_stack(problem: _Problem, rhs, context: str):
     """Solve a stack of S equally sized systems on the float64 -> 80-bit -> double-double ladder.
 
     problem is the stack (sources (S, N, m)) and rhs is (S, N+U, m).  The
-    float64 stack is assembled once.  float64 factors it system by system
-    and refines the stack, on the assembled stack itself when every system
-    factors.  The systems it rejects are assembled once more as one 80-bit
-    stack, and those the 80-bit rung rejects go on as one double-double
-    stack.  Returns one (solution, interpolation residual, condition
-    estimate, precision tag) per system.  Raises SolveError, with ``index``
-    naming the first such system, when even the top rung leaves a system's
-    interpolation conditions violated (numerically singular).
+    float64 stack is assembled, factored system by system and condition
+    estimated once.  Each rung is then (tag, threshold, attempt), bottom up:
+    an attempt solves the systems no rung has accepted as one stack, one
+    (solution or None, residual) per system.  Returns one (solution,
+    residual, condition estimate, tag) per system by the module docstring's
+    rule, whose SolveError names the first failing system as ``index``.
     """
     n_interp = problem.n
-    count = len(rhs)
     scale = np.maximum(1.0, np.abs(rhs[:, :n_interp]).max(axis=(1, 2)))
     matrices = problem.build(np.dtype(float))
     factors = [_factor64(a) for a in matrices]
     conds = [_condition_from_lu(a, lu_piv) for a, lu_piv in zip(matrices, factors)]
-    lower = [(None, np.inf)] * count      # float64 (solution, residual)
-    solved = [None] * count
-    ok = [i for i, lu_piv in enumerate(factors) if lu_piv is not None]
-    if ok:
-        rows = slice(None) if len(ok) == count else ok
-        ok_factors = [factors[i] for i in ok]
-        z64, res64 = _refined_solve(matrices[rows].__matmul__,
-                                    lambda b: _lu_solve_stack(ok_factors, b),
-                                    rhs[rows], n_interp, 2)
-        for i, z, res in zip(ok, z64, res64):
-            lower[i] = (z, res)
-            if res <= ESCALATE_THRESHOLD * scale[i]:
-                solved[i] = (z, res, conds[i], "double")
-    rest = [i for i, done in enumerate(solved) if done is None]
-    extended = [(None, np.inf)] * count   # 80-bit (solution, residual)
-    if rest and LONGDOUBLE_IS_EXTENDED:
-        a_ext = problem[rest].build(np.longdouble)
+
+    def double(rows):         # every system; on the assembled stack itself when all factor
+        out = [(None, np.inf)] * len(rows)
+        ok = [i for i in rows if factors[i] is not None]
+        if ok:
+            stack = slice(None) if len(ok) == len(rows) else ok
+            ok_factors = [factors[i] for i in ok]
+            z64, res64 = _refined_solve(matrices[stack].__matmul__,
+                                        lambda b: _lu_solve_stack(ok_factors, b),
+                                        rhs[stack], n_interp, 2)
+            for i, z, res in zip(ok, z64, res64):
+                out[i] = (z, res)
+        return out
+
+    def extended(rows):
+        a_ext = problem[rows].build(np.longdouble)
         lu_ext, order = _precision.lu_extended(a_ext)
-        z_ext, res_ext = _refined_solve(
-            a_ext.__matmul__, lambda b: _precision.lu_solve_extended(lu_ext, order, b),
-            rhs[rest], n_interp, 3)
-        for i, z, res in zip(rest, z_ext, res_ext):
-            extended[i] = (z, res)
-            if res <= min(MP_THRESHOLD * scale[i], lower[i][1]):
-                solved[i] = (z, res, conds[i], "longdouble")
-    top = [i for i in rest if solved[i] is None]
-    mp = [] if not top else _precision.mp_solve(
-        problem.kernel, problem.tensor, problem.sources[top],
-        problem.tail_degree, problem.exponents, rhs[top])
-    for i, (coef_mp, res_mp) in zip(top, mp):
-        (z, res), (z_ext, res_ext) = lower[i], extended[i]
-        candidates = [(res_mp, coef_mp, "mp"), (res_ext, z_ext, "longdouble"), (res, z, "double")]
-        best_res, best_z, precision = min(candidates, key=lambda item: item[0])
-        if best_z is None or best_res > RESIDUAL_LIMIT * scale[i]:
+        return zip(*_refined_solve(a_ext.__matmul__,
+                                   lambda b: _precision.lu_solve_extended(lu_ext, order, b),
+                                   rhs[rows], n_interp, 3))
+
+    def double_double(rows):
+        return _precision.mp_solve(problem.kernel, problem.tensor, problem.sources[rows],
+                                   problem.tail_degree, problem.exponents, rhs[rows])
+
+    rungs = [("double", ESCALATE_THRESHOLD, double)]
+    if LONGDOUBLE_IS_EXTENDED:
+        rungs.append(("longdouble", MP_THRESHOLD, extended))
+    rungs.append(("mp", RESIDUAL_LIMIT, double_double))
+    best = [(None, np.inf, None)] * len(rhs)     # each system's best (solution, residual, tag)
+    rest = list(range(len(rhs)))                 # the systems no rung has accepted
+    for tag, threshold, attempt in rungs:
+        if not rest:
+            break
+        for i, (z, res) in zip(rest, attempt(rest)):
+            if res <= best[i][1]:                # a tie goes to the higher rung
+                best[i] = (z, res, tag)
+        rest = [i for i in rest if best[i][2] != tag or best[i][1] > threshold * scale[i]]
+    for i in rest:                               # the top rung takes the best of any rung
+        if best[i][1] > RESIDUAL_LIMIT * scale[i]:
             raise SolveError(
                 f"{context}: system is numerically singular or rank deficient "
-                f"(best residual {best_res:.2e}, condition estimate {conds[i]:.2e}); "
+                f"(best residual {best[i][1]:.2e}, condition estimate {conds[i]:.2e}); "
                 "check for degenerate source configurations such as collinear "
                 "landmarks with a polynomial tail", index=i)
-        solved[i] = (best_z, best_res, conds[i], precision)
-    return solved
+    return [(z, res, cond, tag) for (z, res, tag), cond in zip(best, conds)]
 
 
 def _solve_dense(problem: _Problem, rhs, context: str):

@@ -9,15 +9,18 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import landreg
 from landreg.bench import CaseSpec, build_method, gen_case
 from landreg.kernels import ThinPlateSpline
 from landreg.landmarks import LandmarkSet
 from landreg.shepard import ShepardConfig, build_shepard_transform, node_radii
-from landreg.transform import solve_transform
+from landreg.transform import LONGDOUBLE_IS_EXTENDED, PRECISIONS, solve_transform
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+needs_80bit = pytest.mark.skipif(not LONGDOUBLE_IS_EXTENDED,
+                                 reason="np.longdouble is no wider than float64")
 
 
 def load_spans():
@@ -119,3 +122,42 @@ def test_traced_shepard_weights_detail_resolves():
     terms = np.where(in_cube > 0, in_cube, cfg.n_w)
     assert terms.min() < cfg.n_w
     assert tracer.layer_metrics(1)["shepard.active_terms"] == terms.sum() / len(probes)
+
+
+def traced_fit(method, case, value):
+    """The tracer after one fit of a bench method, its spans recorded."""
+    spans = load_spans()
+    landmarks, _, _ = gen_case(CaseSpec(case))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        build_method(method, landmarks, case, value)
+    finally:
+        tracer.active = False
+        tracer.restore()
+    return tracer
+
+
+@pytest.mark.parametrize("method, case, value, rungs, ladder_yield", [
+    ("tps", "square-shift-32", None, (1, 0, 0), 1.0),
+    pytest.param("g", "square-shift-32", 0.4, (0, 1, 0), 1 / 2, marks=needs_80bit),
+    pytest.param("g", "square-shift-32", 0.2, (0, 0, 1), 1 / 3, marks=needs_80bit),
+])
+def test_traced_fit_counts_one_attempt_per_rung(method, case, value, rungs, ladder_yield):
+    """The rung a fit is accepted at, and ladder_yield: fits over rung attempts."""
+    metrics = traced_fit(method, case, value).layer_metrics(1)
+    assert tuple(metrics[f"transform.rung_{tag}"] for tag in PRECISIONS) == rungs
+    assert metrics["transform.ladder_yield"] == pytest.approx(ladder_yield)
+
+
+@needs_80bit
+def test_traced_shepard_fit_attempts_each_rung_once():
+    """shep-g's nodal stack climbs every rung, one stack per rung.
+
+    float64 and 80-bit each assemble one stack; double-double assembles inside mp_solve.
+    """
+    calls = traced_fit("shep-g", "square-scale-64", 1.2).calls()
+    assert calls.get("precision.lu80_factor") == 1
+    assert calls.get("precision.mp_solve") == 1
+    assert calls.get("transform.assemble") == 2

@@ -136,6 +136,17 @@ def test_sweep_refuses_a_count_that_is_not_an_integer():
     assert len(report.values) == 3
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("start, stop", [
+    (0.2, np.inf), (-np.inf, 0.2), (-np.inf, np.inf), (0.2, np.nan), (np.nan, 0.2),
+    (-1e308, 1e308), (np.float64(-1e308), np.float64(1e308)),
+])
+def test_parameter_values_refuse_a_range_that_is_not_finite(start, stop):
+    """An infinite end, or an end-to-end span past float64's range, is refused before numpy warns."""
+    with pytest.raises(ValueError, match="must be finite and increasing"):
+        bench.parameter_values(start, stop, 3)
+
+
 def test_sweep_l4_produces_finite_report():
     report = sweep("l4", CaseSpec("square-shift-32"))
     assert report.parameter == "alpha"

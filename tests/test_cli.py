@@ -4,6 +4,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,6 +115,16 @@ def test_sweep_refuses_a_range_for_a_parameter_free_method(tmp_path, capsys):
     assert run("sweep", "--case", "square-shift-32", "--method", "w2-2d",
                "--reference", "identity", "--out", str(out),
                "--start", "0.2", "--stop", "0.6", "--count", "2.9") == 1
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_refuses_an_infinite_range(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    assert run("sweep", "--case", "square-shift-32", "--method", "g",
+               "--reference", "identity", "--out", str(out),
+               "--start", "0.2", "--stop", "inf", "--count", "3") == 1
+    assert "error: parameter range must be finite and increasing" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -15,6 +15,7 @@ from landreg import _precision, transform
 from landreg._dd import DDArray
 from landreg.bench import CaseSpec, build_method, default_grid, gen_case
 from landreg.kernels import Gaussian, ThinPlateSpline, Wendland1D, polynomial_tail_degree
+from landreg.landmarks import LandmarkSet, k_nearest
 from landreg.lobachevsky import LobachevskySpline
 from landreg.transform import monomial_exponents, solve_transform
 
@@ -129,6 +130,112 @@ def test_shepard_ladder_skips_80bit_where_longdouble_is_double(monkeypatch):
     rungs = [nf.interpolant.precision for nf in shep.nodal]
     assert "longdouble" not in rungs and rungs.count("mp") >= 1
     assert shep.residual <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the ladder's choice between the rungs' attempts
+
+needs_80bit = pytest.mark.skipif(not transform.LONGDOUBLE_IS_EXTENDED,
+                                 reason="np.longdouble is no wider than float64")
+
+
+def script_rungs(monkeypatch, scripted):
+    """Replace the residuals the rungs report, keeping their solutions.
+
+    scripted(tag, first target) gives the residual a rung reports for the
+    system whose first right-hand-side row is that target, or None for the
+    real one.  Returns the attempts made, as (tag, first target, solution).
+    """
+    refined, mp_solve = transform._refined_solve, _precision.mp_solve
+    attempts = []
+
+    def report(tag, solved, rhs):
+        out = []
+        for (z, res), b in zip(solved, rhs):
+            attempts.append((tag, tuple(b[0]), z))
+            fake = scripted(tag, tuple(b[0]))
+            out.append((z, res if fake is None else fake))
+        return out
+
+    def fake_refined(product, solve_once, rhs, n_interp, max_steps):
+        z, res = refined(product, solve_once, rhs, n_interp, max_steps)
+        tag = "double" if z.dtype == np.dtype(float) else "longdouble"
+        return z, [res for _, res in report(tag, zip(z, res), rhs)]
+
+    def fake_mp_solve(kernel, tensor, sources, tail_degree, exponents, rhs):
+        return report("mp", mp_solve(kernel, tensor, sources, tail_degree, exponents, rhs), rhs)
+
+    monkeypatch.setattr(transform, "_refined_solve", fake_refined)
+    monkeypatch.setattr(_precision, "mp_solve", fake_mp_solve)
+    return attempts
+
+
+def scripted_flat_gaussian(monkeypatch, residuals):
+    """The flat Gaussian of square-shift-32 (alpha 0.2), each rung reporting residuals[tag].
+
+    Its targets lie in [0, 1], so each threshold applies as it stands.
+    Returns the transform and {tag: the solution that rung attempted}.
+    """
+    attempts = script_rungs(monkeypatch, lambda tag, first: residuals[tag])
+    landmarks, _, _ = gen_case(CaseSpec("square-shift-32"))
+    assert np.abs(landmarks.targets).max() <= 1.0
+    t = solve_transform(Gaussian(0.2), landmarks)
+    return t, {tag: z for tag, _, z in attempts}
+
+
+def same_bits(a, b):
+    """Whether two solutions, ndarrays or DDArrays, are bitwise equal."""
+    if isinstance(a, DDArray):
+        return np.array_equal(a.hi, b.hi) and np.array_equal(a.lo, b.lo)
+    return np.array_equal(a, b)
+
+
+def test_ladder_keeps_a_lower_rungs_better_attempt(monkeypatch):
+    """A top-rung attempt worse than float64's leaves float64's solution, residual and tag.
+
+    The Gaussian has no polynomial tail, so its coefficients are the whole solution.
+    """
+    residuals = {"double": 3e-7, "longdouble": 5e-7, "mp": 8e-7}
+    t, tried = scripted_flat_gaussian(monkeypatch, residuals)
+    assert "mp" in tried
+    assert (t.precision, t.residual) == ("double", 3e-7)
+    assert same_bits(t.coef, tried["double"])
+
+
+@pytest.mark.parametrize("residuals, tag", [
+    ({"double": 3e-7, "longdouble": 5e-7, "mp": 3e-7}, "mp"),
+    pytest.param({"double": 5e-8, "longdouble": 5e-8}, "longdouble", marks=needs_80bit),
+])
+def test_ladder_gives_a_tie_to_the_higher_rung(monkeypatch, residuals, tag):
+    t, tried = scripted_flat_gaussian(monkeypatch, residuals)
+    assert max(tried, key=transform.PRECISIONS.index) == tag      # nothing above it ran
+    assert (t.precision, t.residual) == (tag, residuals[tag])
+    assert same_bits(t.coef, tried[tag])
+
+
+@needs_80bit
+@pytest.mark.parametrize("top, tag", [(1e-9, "mp"), (4e-8, "double")])
+def test_80bit_attempt_worse_than_float64_goes_on_to_double_double(monkeypatch, top, tag):
+    """Under MP_THRESHOLD but above float64's residual, the 80-bit attempt is not accepted."""
+    residuals = {"double": 2e-8, "longdouble": 5e-8, "mp": top}
+    t, tried = scripted_flat_gaussian(monkeypatch, residuals)
+    assert set(tried) == {"double", "longdouble", "mp"}
+    assert (t.precision, t.residual) == (tag, residuals[tag])
+
+
+def test_stacked_solve_error_names_the_first_failing_system(monkeypatch):
+    """Systems 2 and 5 of a stack fail on every rung; the SolveError names 2."""
+    xs = np.linspace(0.1, 0.9, 4)
+    src = np.array([(x, y) for y in xs for x in xs])
+    landmarks = LandmarkSet(src, src + 0.05 * np.sin(3.0 * src[:, ::-1]))
+    neighbors, _ = k_nearest(src, src, 8)
+    assert (neighbors[:, 0] == np.arange(len(src))).all()    # each row starts at its own node
+    failing = {tuple(landmarks.targets[j]) for j in (2, 5)}
+    attempts = script_rungs(monkeypatch, lambda tag, first: 1.0 if first in failing else None)
+    with pytest.raises(transform.SolveError, match="best residual 1.00e") as error:
+        solve_transform(ThinPlateSpline(), landmarks, neighbors)
+    assert error.value.index == 2
+    assert {first for tag, first, _ in attempts if tag == "mp"} == failing
 
 
 # ---------------------------------------------------------------------------
