@@ -22,6 +22,10 @@ CHUNK_BYTES = 1 << 22    # size of one (rows, landmarks) block of a chunked poin
 # points took 146 / 110 / 114 / 118 ms, against 440-495 ms for the query without tiles.
 TILE_ROWS = 128
 TILE_SLACK = 1e-12       # relative widening of a tile's candidate radius, over rounding
+# Widest block, in multiples of k, that _nearest_in_block sorts whole.  On 1600 rows of
+# random values (2-core x86_64), the whole-row sort took 0.3-0.6 of the partition path's
+# time at widths up to 2k, 0.6-0.9 at 3k-4k, and 1.2-3 times it from 6k on.
+SORT_WIDTH = 3
 
 
 def chunk_rows(width: int, itemsize: int = 8) -> int:
@@ -96,11 +100,16 @@ def _nearest_in_block(d2, k):
     """The k smallest entries of each row of d2: (columns, values), each (rows, k).
 
     Rows are ordered by (value, column), as a stable argsort of the row
-    would order them.  Only the entries within a row's k-th smallest value
+    orders them.  A block at most SORT_WIDTH * k wide is that argsort.  In
+    a wider one only the entries within a row's k-th smallest value
     (``np.partition``) are sorted.  They are packed in column order into a
     row padded with +inf to the block's largest candidate count, so a
-    stable row-wise argsort breaks ties by column and leaves the padding last.
+    stable row-wise argsort breaks ties by column and leaves the padding
+    last.  Both give the same columns and values.
     """
+    if d2.shape[1] <= SORT_WIDTH * k:
+        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        return order, np.take_along_axis(d2, order, axis=1)
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
     rows, cols = np.nonzero(d2 <= kth)           # row-major: column order within a row
     counts = np.bincount(rows, minlength=len(d2))
@@ -169,7 +178,10 @@ def k_nearest(sources, points, k: int):
     measured against every source.  More points are grouped into spatial
     tiles, and each tile is measured only against the sources that can be
     among its points' k nearest (_tile_blocks), in index order.  A row's
-    result depends on that row alone, so both give the same bits.
+    result depends on that row alone, so both give the same bits.  Each
+    block's rows are then ordered by _nearest_in_block: a whole-row sort
+    where the block has at most SORT_WIDTH * k columns (a small landmark
+    set, or a tile with few candidates), else a partition first.
     """
     n = len(sources)
     if not (isinstance(k, numbers.Integral) and not isinstance(k, bool) and 1 <= k <= n):

@@ -21,7 +21,8 @@ from .kernels import RadialKernel, _positive_finite, polynomial_tail_degree
 from .landmarks import CHUNK_BYTES, LandmarkSet, k_nearest
 from ._dd import DDArray
 from .transform import (PRECISIONS, GlobalRadialTransform, SolveError, Transformation, _as_type_of,
-                        _entry_bytes, _Problem, solve_transform, tail_dimension)
+                        _entry_bytes, _Problem, monomial_matrix, solve_transform,
+                        tail_dimension)
 
 
 SNAP_RADIUS = 1e-12   # points this close to a landmark take its weight alone
@@ -139,30 +140,39 @@ def _shared_values(kernel, landmarks, members, pts):
 
     members is [(NodalFunction, the points it weighs)], all of one rung.
     The block pairs every such point with every landmark of the
-    members' neighborhoods, in the rung's array type.  Kernel values are
-    elementwise, so the (P_j, N_L) sub-block a member gathers carries the
-    bits of its own eval_rows wherever both take the same (radial or
-    product) form.  None when the block would hold more entries than the
-    members' separate blocks together, or more than one evaluation chunk of
-    the rung; within one chunk each member's own evaluation is one chunk
-    too, so the gathered product is the one it would run.
+    members' neighborhoods, in the rung's array type, and the tail's
+    monomials are computed once on its points.  Kernel values and
+    monomials are elementwise, so the (P_j, N_L) sub-block and the rows a
+    member gathers carry the bits of its own eval_rows and monomial_matrix
+    wherever both take the same (radial or product) form.  None when the
+    block would hold more entries than the members' separate blocks
+    together, or more than one evaluation chunk of the rung; within one
+    chunk each member's own evaluation is one chunk too, so the gathered
+    product is the one it would run.  The unions are masks over the points
+    and the landmarks, counted before anything is built.
     """
     if not members:
         return None
-    points = np.unique(np.concatenate([active for _, active in members]))
-    cols = np.unique(np.concatenate([nf.neighbors for nf, _ in members]))
-    entries = len(points) * len(cols)
-    z = members[0][0].interpolant._z
+    in_block = np.zeros(len(pts), dtype=bool)
+    in_block[np.concatenate([active for _, active in members])] = True
+    in_cols = np.zeros(landmarks.n, dtype=bool)
+    in_cols[np.concatenate([nf.neighbors for nf, _ in members])] = True
+    entries = np.count_nonzero(in_block) * np.count_nonzero(in_cols)
+    problem, z = members[0][0].interpolant._problem, members[0][0].interpolant._z
     if (entries > sum(len(active) * len(nf.neighbors) for nf, active in members)
             or entries * _entry_bytes(z) > CHUNK_BYTES):
         return None
-    x = _as_type_of(pts[points], z)
-    block = _Problem(kernel, landmarks.sources[cols], None).eval_rows(x)
+    row_of, col_of = np.cumsum(in_block) - 1, np.cumsum(in_cols) - 1   # positions in the block
+    x = _as_type_of(pts[in_block], z)
+    block = _Problem(kernel, landmarks.sources[in_cols], None).eval_rows(x)
+    tail = None if problem.tail_degree is None else monomial_matrix(x, problem.tail_degree)
 
     def values(nf, active):
-        rows = np.searchsorted(points, active)
-        sub = block[np.ix_(rows, np.searchsorted(cols, nf.neighbors))]
-        return nf.interpolant._problem.block_values(nf.interpolant._z, x[rows], sub)
+        rows = row_of[active]
+        sub = block[rows][:, col_of[nf.neighbors]]
+        monomials = None if tail is None else tail[rows]
+        return nf.interpolant._problem.block_values(nf.interpolant._z, None, sub,
+                                                    monomials=monomials)
     return values
 
 

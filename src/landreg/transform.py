@@ -406,18 +406,22 @@ class _Problem:
             out[rows] = self.block_values(z, x[rows], block, cols)
         return out
 
-    def block_values(self, z, x, block, cols=slice(None)):
+    def block_values(self, z, x, block, cols=slice(None), monomials=None):
         """float64 values at points x (..., P, m) of the expansion with solution z, from a block.
 
         x and z, (..., N+U, m), are in the rung's array type, and block is
-        eval_rows(x, cols), or a stack's kernel_rows.  A float64 product's
-        bits depend on its row count, so a caller holding a larger kernel
-        block gathers exactly these rows into a block of their own.  A
-        double-double product is a pairwise sum per row, whose bits do not.
+        eval_rows(x, cols), or a stack's kernel_rows.  monomials, where
+        given, is the tail's monomial_matrix(x), and x is not read.  A
+        float64 product's bits depend on its row count, so a caller holding
+        a larger kernel block gathers exactly these rows into a block of
+        their own.  A double-double product is a pairwise sum per row, whose
+        bits do not.
         """
         values = block @ z[..., :self.n, :][..., cols, :]
         if self.tail_degree is not None:
-            values = values + monomial_matrix(x, self.tail_degree) @ z[..., self.n:, :]
+            if monomials is None:
+                monomials = monomial_matrix(x, self.tail_degree)
+            values = values + monomials @ z[..., self.n:, :]
         if isinstance(values, DDArray):
             return values.to_float()
         return values.astype(float, copy=False)

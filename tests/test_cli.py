@@ -1,5 +1,8 @@
 import argparse
 import csv
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -126,6 +129,26 @@ def test_sweep_refuses_an_infinite_range(tmp_path, capsys):
                "--start", "0.2", "--stop", "inf", "--count", "3") == 1
     assert "error: parameter range must be finite and increasing" in capsys.readouterr().err
     assert not out.exists()
+
+
+def run_module(module, *argv, cwd):
+    """python -m module argv in a fresh interpreter, with this checkout's landreg on the path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["landreg", "landreg.cli"])
+def test_python_m_runs_the_cli_and_exits_with_its_code(module, tmp_path):
+    done = run_module(module, "sweep", "--case", "square-shift-32", "--method", "g",
+                      "--reference", "identity", "--out", "report.csv",
+                      "--start", "0.2", "--stop", "inf", "--count", "3", cwd=tmp_path)
+    assert done.returncode == 1
+    assert "error: parameter range must be finite and increasing" in done.stderr
+    assert not (tmp_path / "report.csv").exists()
+    done = run_module(module, "--help", cwd=tmp_path)
+    assert done.returncode == 0 and "real-life" in done.stdout
 
 
 def test_real_life_report(tmp_path):

@@ -220,6 +220,59 @@ def test_tiled_k_nearest_is_bitwise_the_one_chunk_query(case):
         assert np.array_equal(dist2[row], ((src[indices[row]] - x) ** 2).sum(1))
 
 
+def nearest_by_both_paths(d2, k):
+    """_nearest_in_block's whole-row sort and its partition path on one block."""
+    nearest = landreg.landmarks._nearest_in_block
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(landreg.landmarks, "SORT_WIDTH", np.inf)
+        by_sort = nearest(d2, k)
+        patch.setattr(landreg.landmarks, "SORT_WIDTH", 0)
+        by_partition = nearest(d2, k)
+    return by_sort, by_partition
+
+
+def assert_paths_agree(d2, k):
+    """Both paths give the columns and values of a stable row argsort, bit for bit."""
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    for columns, values in nearest_by_both_paths(d2, k):
+        assert columns.dtype == np.intp and values.dtype == d2.dtype
+        assert np.array_equal(columns, order)
+        assert values.tobytes() == np.take_along_axis(d2, order, axis=1).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattices())
+def test_both_nearest_paths_agree_on_points_equidistant_from_several_landmarks(case):
+    landmarks, pts, k = case
+    d2 = landreg.landmarks.squared_distances(pts, landmarks.sources)
+    for kk in {1, k, landmarks.n}:
+        assert_paths_agree(d2, kk)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 4))
+def test_both_nearest_paths_agree_on_ties_at_the_kth_value(seed, width, levels):
+    """Few distinct values per row, so most rows tie across their k-th smallest entry."""
+    rng = np.random.default_rng(seed)
+    d2 = rng.integers(0, levels, (30, width)) * 0.25
+    d2[0] = 0.5                                    # one row tied throughout
+    for k in {1, int(rng.integers(1, width + 1)), width}:
+        assert_paths_agree(d2, k)
+
+
+def test_k_nearest_on_each_side_of_the_whole_row_sort():
+    """Blocks SORT_WIDTH * k and one column wider give the dense oracle's order, ties included."""
+    k = 4
+    for n in (landreg.landmarks.SORT_WIDTH * k, landreg.landmarks.SORT_WIDTH * k + 1):
+        src = np.column_stack([np.arange(n) % 4, np.arange(n) // 4]).astype(float)
+        pts = np.vstack([src + 0.5, src[::3] + [0.5, 0.0]])
+        indices, dist2 = k_nearest(src, pts, k)
+        for row, x in enumerate(pts):
+            expected = dense_nearest(src, x, k)
+            assert np.array_equal(indices[row], expected)
+            assert np.array_equal(dist2[row], ((src[expected] - x) ** 2).sum(1))
+
+
 def test_k_nearest_of_no_points():
     src = np.random.default_rng(8).uniform(0.0, 1.0, (30, 2))
     for k in (1, 7, 30):
