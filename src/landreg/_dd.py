@@ -191,6 +191,22 @@ def _less(ah, al, bh, bl):
     return (ah < bh) | ((ah == bh) & (al < bl))
 
 
+def binary_power(x, k: int):
+    """x ** k for an integer k >= 1 by binary powering, in x's arithmetic.
+
+    Squares x once per bit of k and multiplies the squares of its set
+    bits into the result, lowest first: x^3 = x * x^2, x^6 = x^2 * x^4.
+    """
+    result, base = None, x
+    while True:
+        if k & 1:
+            result = base if result is None else result * base
+        k >>= 1
+        if not k:
+            return result
+        base = base * base
+
+
 def _new(hi, lo):
     out = DDArray.__new__(DDArray)
     out.hi, out.lo = hi, lo
@@ -284,15 +300,9 @@ class DDArray:
         if not float(power).is_integer():
             return self.sqrt() ** int(2 * power)
         k = abs(int(power))
-        result, base = None, self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        if result is None:
+        if not k:
             return _new(np.ones(self.shape), np.zeros(self.shape))
+        result = binary_power(self, k)
         return 1.0 / result if power < 0 else result
 
     def __matmul__(self, other):

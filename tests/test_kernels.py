@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -279,6 +280,62 @@ def test_wendland_support_clamp_keeps_the_bits(group, h):
         got, want = _wendland_value(group, h, 1.0, dd), _unclamped_wendland(group, h, dd)
         assert isinstance(got, DDArray)
         assert _same_bits(got.hi, want.hi) and _same_bits(got.lo, want.lo)
+
+
+# (power of 1 - u, coefficients of the other factor from u^0 up) of each (group, h)
+WENDLAND_POLYNOMIALS = {
+    (1, 0): (1, [1]), (1, 1): (3, [1, 3]), (1, 2): (5, [1, 5, 8]), (1, 3): (7, [1, 7, 19, 21]),
+    (2, 0): (2, [1]), (2, 1): (4, [1, 4]), (2, 2): (6, [3, 18, 35]), (2, 3): (8, [1, 8, 25, 32]),
+}
+# the float64 polynomials as plain expressions with numpy's **
+PLAIN_POLYNOMIALS = {
+    (1, 0): lambda u: 1.0 - u,
+    (1, 1): lambda u: (1.0 - u) ** 3 * (3.0 * u + 1.0),
+    (1, 2): lambda u: (1.0 - u) ** 5 * (8.0 * u * u + 5.0 * u + 1.0),
+    (1, 3): lambda u: (1.0 - u) ** 7 * (21.0 * u ** 3 + 19.0 * u * u + 7.0 * u + 1.0),
+    (2, 0): lambda u: (1.0 - u) ** 2,
+    (2, 1): lambda u: (1.0 - u) ** 4 * (4.0 * u + 1.0),
+    (2, 2): lambda u: (1.0 - u) ** 6 * (35.0 * u * u + 18.0 * u + 3.0),
+    (2, 3): lambda u: (1.0 - u) ** 8 * (32.0 * u ** 3 + 25.0 * u * u + 8.0 * u + 1.0),
+}
+# Relative error bound of a longdouble Wendland value, in units of eps (2^-63 for x87):
+# the rounding of 1 - u, raised to the k-th power (k <= 8), gives k / 2; the at most 4
+# multiplications of the power, the at most 7 operations of the other factor (every term
+# nonnegative on [0, 1)) and the final product add at most 6.
+WENDLAND_80_BIT_EPS = 10
+
+
+def _exact(x):
+    numerator, denominator = x.as_integer_ratio()
+    return mp.mpf(numerator) / denominator
+
+
+@pytest.mark.parametrize("group, h", sorted(WENDLAND_POLYNOMIALS))
+def test_80_bit_wendland_values_match_a_40_digit_reference(group, h):
+    rng = np.random.default_rng(100 + 10 * group + h)
+    hi = np.concatenate([np.linspace(0.0, 1.0, 201)[:-1], rng.uniform(0.0, 1.0, 400),
+                         [np.nextafter(1.0, 0.0), 2.0 ** -40]])
+    # bits below float64's, so the longdouble inputs are not all doubles
+    u = hi.astype(np.longdouble) + (rng.uniform(-1.0, 1.0, hi.size) * hi * 2.0 ** -60)
+    u = u[(u >= 0) & (u < 1)]
+    got = _wendland_poly(group, h, u)
+    assert got.dtype == np.longdouble
+    power, coefficients = WENDLAND_POLYNOMIALS[group, h]
+    bound = WENDLAND_80_BIT_EPS * mp.mpf(float(np.finfo(np.longdouble).eps))
+    with mp.workdps(40):
+        for x, value in zip(u, got):
+            x = _exact(x)
+            want = (1 - x) ** power * sum(c * x ** i for i, c in enumerate(coefficients))
+            assert abs(_exact(value) - want) <= bound * want, (x, value)
+
+
+@pytest.mark.parametrize("group, h", sorted(WENDLAND_POLYNOMIALS))
+def test_float64_wendland_values_keep_the_bits_of_numpy_powers(group, h):
+    rng = np.random.default_rng(200 + 10 * group + h)
+    u = np.concatenate([np.linspace(0.0, 1.0, 1001), rng.uniform(0.0, 1.0, 2000),
+                        [np.nextafter(1.0, 0.0), 5e-324, 1.5, 7.0]])
+    got = _wendland_poly(group, h, u)
+    assert got.dtype == np.float64 and _same_bits(got, PLAIN_POLYNOMIALS[group, h](u))
 
 
 # each formula as a plain expression: the in-place evaluation must give its bits
