@@ -51,6 +51,22 @@ def test_compare_reports_every_differing_bit(tmp_path, capsys):
     assert "3 of 3 fields differ" in out
 
 
+def test_compare_summarises_the_moved_fields_by_method(tmp_path, capsys):
+    tool = load_tool()
+    grid = np.linspace(0.0, 1.0, 6).reshape(3, 2)
+    same = {"tps|c|None|grid": grid, "blas|OPENBLAS_NUM_THREADS": np.array("1")}
+    a = {**same, "g|c|0.2|grid": grid, "g|c|0.4|grid": grid, "g|c|0.4|rung": np.array("double"),
+         "regcli|c|tps|svg": np.array(b"<svg/>")}
+    b = {**same, "g|c|0.2|grid": grid + 1e-9, "g|c|0.4|grid": grid - 3e-7,
+         "g|c|0.4|rung": np.array("longdouble"), "regcli|c|tps|svg": np.array(b"<svg />")}
+    np.savez(tmp_path / "a.npz", **a)
+    np.savez(tmp_path / "b.npz", **b)
+    assert tool.main(["compare", str(tmp_path / "a.npz"), str(tmp_path / "b.npz")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3] == "4 of 6 fields differ"
+    assert lines[-2:] == ["g: fields moved 3, max |a - b| 3.000e-07", "regcli: fields moved 1"]
+
+
 def test_record_holds_each_nodal_interpolant_of_a_shepard_operation():
     fields = load_tool().record("shep-g", "real-life", 0.2)
     n = len(fields["landmarks"])

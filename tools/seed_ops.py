@@ -29,7 +29,10 @@ centre values too.  ``compare``
 lists every field whose bits differ, or that only one file has, and exits 1
 if there is any; it needs numpy only.  For a float field of one shape in
 both files it also prints max |a - b| and max |a|, so a change meant to
-move values at rounding level can be read off the same report.  An x87 80-bit longdouble is stored
+move values at rounding level can be read off the same report.  After the
+list it prints one line per method (the first part of a field's name:
+a method, ``regcli`` or ``blas``) with fields that moved: their count and
+the largest max |a - b| among them.  An x87 80-bit longdouble is stored
 in 12 or 16 bytes, of which only the first 10 carry the value; ``compare``
 reads those and ignores the padding, which numpy leaves as whatever was in
 memory.
@@ -219,27 +222,35 @@ def _same(a, b) -> bool:
             and _significant_bytes(a) == _significant_bytes(b))
 
 
-def _gap(a, b) -> str:
-    """max |a - b| and max |a| of two float fields of one shape, for the report."""
+def _gap(a, b):
+    """(max |a - b|, max |a|) of two float fields of one shape, or None."""
     if a.dtype.kind != "f" or b.dtype.kind != "f" or a.shape != b.shape or not a.size:
-        return ""
+        return None
     diff = np.abs(a.astype(np.longdouble) - b.astype(np.longdouble)).max()
-    return f", max |a - b| {float(diff):.3e}, max |a| {float(np.abs(a).max()):.3e}"
+    return float(diff), float(np.abs(a).max())
 
 
 def compare(path_a: str, path_b: str) -> int:
-    differ = 0
+    moved = {}        # method -> the max |a - b| of each of its fields that differ, or None
     with np.load(path_a) as a, np.load(path_b) as b:
         keys = sorted(set(a.files) | set(b.files))
         for key in keys:
+            gap = None
             if key not in a.files or key not in b.files:
                 print(f"{key}: only in {path_a if key in a.files else path_b}")
             elif not _same(a[key], b[key]):
-                print(f"{key}: differs{_gap(a[key], b[key])}")
+                gap = _gap(a[key], b[key])
+                extra = "" if gap is None else f", max |a - b| {gap[0]:.3e}, max |a| {gap[1]:.3e}"
+                print(f"{key}: differs{extra}")
             else:
                 continue
-            differ += 1
+            moved.setdefault(key.split("|")[0], []).append(None if gap is None else gap[0])
+    differ = sum(map(len, moved.values()))
     print(f"{differ} of {len(keys)} fields differ")
+    for method, gaps in sorted(moved.items()):
+        gaps = [gap for gap in gaps if gap is not None]
+        largest = f", max |a - b| {max(gaps):.3e}" if gaps else ""
+        print(f"{method}: fields moved {len(moved[method])}{largest}")
     return 1 if differ else 0
 
 
