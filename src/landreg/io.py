@@ -106,11 +106,11 @@ def _table(text: str, header: str, kind: str) -> np.ndarray:
         tokens = ",".join(rows).split(",")
         distinct = dict.fromkeys(tokens)
         try:
-            value = dict(zip(distinct, map(float, distinct)))
+            number = dict(zip(distinct, map(float, distinct)))
         except ValueError:              # some field is not a number
             pass
         else:
-            table = np.fromiter(map(value.__getitem__, tokens), np.float64, len(tokens))
+            table = np.fromiter(map(number.__getitem__, tokens), np.float64, len(tokens))
             table = table.reshape(-1, width)
             if np.isfinite(table).all() and (width == 4 or _quasi_rows_hold(table, tokens[4::5])):
                 return table
