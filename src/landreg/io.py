@@ -89,11 +89,10 @@ def _table(text: str, header: str, kind: str) -> np.ndarray:
     """The non-blank rows after the header line as one (rows, fields) float array.
 
     Every field is read as float() reads it, a landmark row's quasi flag
-    too.  A file is checked whole: the field count of each row, one
-    float() of each distinct field (a grid's coordinates repeat once per
-    row or column), then finiteness, flags and quasi coordinates on whole
-    arrays.  Only a malformed file goes on to the row loop, which raises
-    the ParseError of its first bad line.
+    too.  A file is checked whole: the field count of each row, one numpy
+    conversion of all fields, then finiteness, flags and quasi coordinates
+    on whole arrays.  Only a malformed file goes on to the row loop, which
+    raises the ParseError of its first bad line.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != header:
@@ -104,14 +103,11 @@ def _table(text: str, header: str, kind: str) -> np.ndarray:
     width = header.count(",") + 1
     if set(map(str.count, rows, repeat(","))) == {width - 1}:
         tokens = ",".join(rows).split(",")
-        distinct = dict.fromkeys(tokens)
         try:
-            number = dict(zip(distinct, map(float, distinct)))
+            table = np.array(tokens, dtype=float).reshape(-1, width)
         except ValueError:              # some field is not a number
             pass
         else:
-            table = np.fromiter(map(number.__getitem__, tokens), np.float64, len(tokens))
-            table = table.reshape(-1, width)
             if np.isfinite(table).all() and (width == 4 or _quasi_rows_hold(table, tokens[4::5])):
                 return table
     for lineno, line in enumerate(lines[1:], start=2):

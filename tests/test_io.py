@@ -60,33 +60,6 @@ def test_grid_csv_errors():
         parse_grid_csv("x,y,fx,fy\n0,0,0\n")
 
 
-def test_grid_csv_converts_each_distinct_field_once(monkeypatch):
-    import landreg.io
-    converted = []
-
-    def counting_float(token):
-        converted.append(token)
-        return float(token)
-
-    points = default_grid(5, 4).points
-    text = write_grid_csv(points, points)
-    # the same number in other spellings is another field, read on its own
-    text += "0.5,0.5, 0.5,5e-1\n0.5,0.5,0.50,0.5\n"
-    monkeypatch.setattr(landreg.io, "float", counting_float, raising=False)
-    back_points, back_values = parse_grid_csv(text)
-    fields = ",".join(text.splitlines()[1:]).split(",")
-    assert sorted(converted) == sorted(set(fields)) and len(converted) < len(fields) / 2
-    assert np.array_equal(back_points[:20], points) and np.array_equal(back_values[:20], points)
-    assert (back_points[20:] == 0.5).all() and (back_values[20:] == 0.5).all()
-
-
-def test_repeated_bad_fields_report_their_first_line():
-    with pytest.raises(ParseError, match=r"^line 3: 'x' is not a number$"):
-        parse_grid_csv("x,y,fx,fy\n0,0,0,0\n0,x,0,0\n0,x,0,x\n")
-    with pytest.raises(ParseError, match=r"^line 2: non-finite coordinate 'inf'$"):
-        parse_grid_csv("x,y,fx,fy\n0,inf,0,0\ninf,inf,0,0\n")
-
-
 def test_infer_grid_shape():
     grid = default_grid(5, 7)
     assert infer_grid_shape(grid.points) == (5, 7)
