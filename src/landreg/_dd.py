@@ -196,15 +196,27 @@ def binary_power(x, k: int):
 
     Squares x once per bit of k and multiplies the squares of its set
     bits into the result, lowest first: x^3 = x * x^2, x^6 = x^2 * x^4.
+    An ndarray's products go in place into the arrays made here, never
+    into x or a square the result still holds, so an 80-bit power holds
+    at most two arrays of x's size besides x.  (A DDArray has no in-place
+    product; its ``*=`` makes a new array.)
     """
     result, base = None, x
     while True:
         if k & 1:
-            result = base if result is None else result * base
+            if result is None:
+                result = base
+            elif result is x:
+                result = result * base
+            else:
+                result *= base
         k >>= 1
         if not k:
             return result
-        base = base * base
+        if base is x or base is result:
+            base = base * base
+        else:
+            base *= base
 
 
 def _new(hi, lo):

@@ -143,22 +143,21 @@ def _wendland_poly(group: int, h: int, u):
     The integer powers of u and of 1 - u are _power's: ``**`` for float64
     and DDArray, binary powering for longdouble.
     """
-    v = 1.0 - u
     if group == 1:
         if h == 0:
-            return v
+            return 1.0 - u
         if h == 1:
-            return _power(v, 3) * (3.0 * u + 1.0)
+            return _power(1.0 - u, 3) * (3.0 * u + 1.0)
         if h == 2:
-            return _power(v, 5) * (8.0 * u * u + 5.0 * u + 1.0)
-        return _power(v, 7) * (21.0 * _power(u, 3) + 19.0 * u * u + 7.0 * u + 1.0)
+            return _power(1.0 - u, 5) * (8.0 * u * u + 5.0 * u + 1.0)
+        return _power(1.0 - u, 7) * (21.0 * _power(u, 3) + 19.0 * u * u + 7.0 * u + 1.0)
     if h == 0:
-        return _power(v, 2)
+        return _power(1.0 - u, 2)
     if h == 1:
-        return _power(v, 4) * (4.0 * u + 1.0)
+        return _power(1.0 - u, 4) * (4.0 * u + 1.0)
     if h == 2:
-        return _power(v, 6) * (35.0 * u * u + 18.0 * u + 3.0)
-    return _power(v, 8) * (32.0 * _power(u, 3) + 25.0 * u * u + 8.0 * u + 1.0)
+        return _power(1.0 - u, 6) * (35.0 * u * u + 18.0 * u + 3.0)
+    return _power(1.0 - u, 8) * (32.0 * _power(u, 3) + 25.0 * u * u + 8.0 * u + 1.0)
 
 
 def _wendland_value(group: int, h: int, c: float, r, work=None):

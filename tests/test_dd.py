@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landreg._dd import DDArray, _tree_sum, two_prod, two_sum
+from landreg._dd import DDArray, _tree_sum, binary_power, two_prod, two_sum
 from landreg.kernels import (Gaussian, GeneralizedMultiquadric, ThinPlateSpline, WendlandRadial,
                              _radial)
 from landreg.transform import _Problem
@@ -179,3 +179,30 @@ def test_radial_kernel_rows_sum_the_axes_like_a_tree_sum(kernel, m):
     problem = _Problem(kernel, centers, None)
     for got in (problem.kernel_rows(x), problem.eval_rows(x)):
         assert np.array_equal(got.hi, want.hi) and np.array_equal(got.lo, want.lo)
+
+
+def plain_binary_power(x, k):
+    """Binary powering with a new array for every product: the reference for binary_power."""
+    result, base = None, x
+    while True:
+        if k & 1:
+            result = base if result is None else result * base
+        k >>= 1
+        if not k:
+            return result
+        base = base * base
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_binary_power_keeps_its_operand_and_the_bits_of_new_products(k):
+    rng = np.random.default_rng(k)
+    hi = rng.uniform(0.0, 1.5, 200)
+    x = hi.astype(np.longdouble) + hi * 2.0 ** -60
+    kept = x.copy()
+    got = binary_power(x, k)
+    assert got.dtype == np.longdouble and np.array_equal(got, plain_binary_power(kept, k))
+    assert np.array_equal(x, kept) and (got is x) == (k == 1)
+    dd, dd_kept = DDArray(hi, hi * 2.0 ** -60), DDArray(hi, hi * 2.0 ** -60)
+    got, want = dd ** k, plain_binary_power(dd_kept, k)
+    assert np.array_equal(got.hi, want.hi) and np.array_equal(got.lo, want.lo)
+    assert np.array_equal(dd.hi, dd_kept.hi) and np.array_equal(dd.lo, dd_kept.lo)
