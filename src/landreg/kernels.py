@@ -126,8 +126,9 @@ def _power(x, k: int):
     """x ** k for an integer k >= 1, in x's array type.
 
     A longdouble ndarray is powered by multiplications (binary_power):
-    numpy's ``**`` calls glibc's powl, about 520 ns per entry at k = 4..8
-    against about 21 ns for the multiplications (2-core x86_64).  Every
+    numpy's ``**`` calls glibc's powl, 470-500 ns per entry at k = 4..8
+    against 12-28 ns for the multiplications (200k entries, 2-core
+    x86_64).  Every
     other array takes ``**``: float64's SIMD pow costs what the
     multiplications do and keeps its bits, and a DDArray's ``**`` is
     binary powering itself.

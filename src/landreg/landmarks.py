@@ -23,8 +23,8 @@ CHUNK_BYTES = 1 << 22    # size of one (rows, landmarks) block of a chunked poin
 TILE_ROWS = 128
 TILE_SLACK = 1e-12       # relative widening of a tile's candidate radius, over rounding
 # Widest block, in multiples of k, that _nearest_in_block sorts whole.  On 1600 rows of
-# random values (2-core x86_64), the whole-row sort took 0.3-0.6 of the partition path's
-# time at widths up to 2k, 0.6-0.9 at 3k-4k, and 1.2-3 times it from 6k on.
+# random values (2-core x86_64, k = 5, 25, 60), the whole-row sort took 0.3-0.6 of the
+# partition path's time at widths up to 2k, 0.6-1.0 at 3k-4k, and 1.2-3.1 times it from 6k on.
 SORT_WIDTH = 3
 
 
