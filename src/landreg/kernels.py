@@ -125,15 +125,16 @@ RadialKernel = Union[Gaussian, ThinPlateSpline, GeneralizedMultiquadric, Wendlan
 def _power(x, k: int):
     """x ** k for an integer k >= 1, in x's array type.
 
-    A longdouble ndarray is powered by multiplications (binary_power):
-    numpy's ``**`` calls glibc's powl, 470-500 ns per entry at k = 4..8
-    against 12-28 ns for the multiplications (200k entries, 2-core
-    x86_64).  Every
-    other array takes ``**``: float64's SIMD pow costs what the
-    multiplications do and keeps its bits, and a DDArray's ``**`` is
-    binary powering itself.
+    An ndarray of floats wider than float64 (an 80-bit longdouble) is
+    powered by multiplications (binary_power): numpy's ``**`` calls glibc's
+    powl, 470-500 ns per entry at k = 4..8 against 12-28 ns for the
+    multiplications (200k entries, 2-core x86_64).  Every other array takes
+    ``**``: float64's SIMD pow costs what the multiplications do and keeps
+    its bits, and a DDArray's ``**`` is binary powering itself.  The width
+    is read from the item size, not by comparing with np.longdouble: where
+    longdouble is float64, numpy may count the two dtypes equal.
     """
-    if isinstance(x, np.ndarray) and x.dtype == np.longdouble:
+    if isinstance(x, np.ndarray) and x.dtype.kind == "f" and x.dtype.itemsize > 8:
         return binary_power(x, k)
     return x ** k
 
@@ -142,7 +143,7 @@ def _wendland_poly(group: int, h: int, u):
     """Polynomial part on [0, 1); group 1 covers m=1, group 2 covers m=2,3.
 
     The integer powers of u and of 1 - u are _power's: ``**`` for float64
-    and DDArray, binary powering for longdouble.
+    and DDArray, binary powering for a longdouble wider than float64.
     """
     if group == 1:
         if h == 0:
@@ -170,7 +171,9 @@ def _wendland_value(group: int, h: int, c: float, r, work=None):
     polynomial at u = 1, without its powers of a zero base, which send pow
     down a slow path (about four times the cost of a base in (0, 1] in
     float64; a negative base is slower still).  A DDArray clamps those u to
-    1 instead.
+    1 instead.  The polynomial's powers are numpy's ``**`` for float64 and
+    DDArray arrays and binary powering for an 80-bit longdouble
+    (_wendland_poly).
     """
     u = np.multiply(r, c, out=work)
     inside = u < 1.0

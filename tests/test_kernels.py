@@ -4,7 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from landreg._dd import DDArray
+from landreg import kernels
+from landreg._dd import DDArray, binary_power
 from landreg.kernels import (Gaussian, GeneralizedMultiquadric, KernelError,
                              ThinPlateSpline, Wendland1D, WendlandRadial,
                              _wendland_poly, _wendland_value, eval_radial,
@@ -336,6 +337,31 @@ def test_float64_wendland_values_keep_the_bits_of_numpy_powers(group, h):
                         [np.nextafter(1.0, 0.0), 5e-324, 1.5, 7.0]])
     got = _wendland_poly(group, h, u)
     assert got.dtype == np.float64 and _same_bits(got, PLAIN_POLYNOMIALS[group, h](u))
+
+
+def test_only_floats_wider_than_float64_take_binary_powering(monkeypatch):
+    """Also where np.longdouble is float64, simulated by setting it so.
+
+    There numpy may count a float64 dtype equal to longdouble; float64
+    values must still take numpy's ``**`` and keep its bits.
+    """
+    powered = []
+
+    def recording(x, k):
+        powered.append(x.dtype)
+        return binary_power(x, k)
+
+    monkeypatch.setattr(kernels, "binary_power", recording)
+    u = np.linspace(0.0, 1.0, 101)[:-1]
+    wide = np.dtype(np.longdouble).itemsize > 8
+    for (group, h), plain in PLAIN_POLYNOMIALS.items():
+        _wendland_poly(group, h, u.astype(np.longdouble))
+        assert bool(powered) == (wide and (group, h) != (1, 0))
+        powered.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "longdouble", np.float64)
+            got = _wendland_poly(group, h, u)
+        assert not powered and _same_bits(got, plain(u))
 
 
 # each formula as a plain expression: the in-place evaluation must give its bits
