@@ -21,8 +21,7 @@ from .kernels import RadialKernel, _positive_finite, polynomial_tail_degree
 from .landmarks import CHUNK_BYTES, LandmarkSet, k_nearest
 from ._dd import DDArray
 from .transform import (PRECISIONS, GlobalRadialTransform, SolveError, Transformation, _as_type_of,
-                        _entry_bytes, _Problem, monomial_matrix, solve_transform,
-                        tail_dimension)
+                        _entry_bytes, _Problem, solve_transform, tail_dimension)
 
 
 SNAP_RADIUS = 1e-12   # points this close to a landmark take its weight alone
@@ -143,7 +142,7 @@ def _shared_values(kernel, landmarks, members, pts):
     members' neighborhoods, in the rung's array type, and the tail's
     monomials are computed once on its points.  Kernel values and
     monomials are elementwise, so the (P_j, N_L) sub-block and the rows a
-    member gathers carry the bits of its own eval_rows and monomial_matrix
+    member gathers carry the bits of its own eval_rows and tail_rows
     wherever both take the same (radial or product) form.  None when the
     block would hold more entries than the members' separate blocks
     together, or more than one evaluation chunk of the rung; within one
@@ -165,14 +164,13 @@ def _shared_values(kernel, landmarks, members, pts):
     row_of, col_of = np.cumsum(in_block) - 1, np.cumsum(in_cols) - 1   # positions in the block
     x = _as_type_of(pts[in_block], z)
     block = _Problem(kernel, landmarks.sources[in_cols], None).eval_rows(x)
-    tail = None if problem.tail_degree is None else monomial_matrix(x, problem.tail_degree)
+    tail = problem.tail_rows(x)
 
     def values(nf, active):
         rows = row_of[active]
         sub = block[rows][:, col_of[nf.neighbors]]
-        monomials = None if tail is None else tail[rows]
-        return nf.interpolant._problem.block_values(nf.interpolant._z, None, sub,
-                                                    monomials=monomials)
+        return nf.interpolant._problem.block_values(nf.interpolant._z, sub,
+                                                    None if tail is None else tail[rows])
     return values
 
 
@@ -235,7 +233,7 @@ def _center_values(nodal, landmarks: LandmarkSet) -> np.ndarray:
             z = DDArray(np.stack([z_j.hi for z_j in z]), np.stack([z_j.lo for z_j in z]))
         else:    # each (N_L + U, m) slice column-major, as getrs leaves a solution
             z = np.stack([z_j.T for z_j in z]).transpose(0, 2, 1)
-        out[rung] = problem.block_values(z, x, rows)[:, 0]
+        out[rung] = problem.block_values(z, rows, problem.tail_rows(x))[:, 0]
     return out
 
 

@@ -284,6 +284,10 @@ class _Problem:
             return []
         return monomial_exponents(self.sources.shape[-1], self.tail_degree)
 
+    def tail_rows(self, x):
+        """The tail's monomial_matrix at points x (..., P, m), or None without a tail."""
+        return None if self.tail_degree is None else monomial_matrix(x, self.tail_degree)
+
     def kernel_rows(self, x, cols=slice(None)):
         """Kernel matrix between points x (..., P, m) and the sources[cols], in x's array type.
 
@@ -403,25 +407,22 @@ class _Problem:
             cols = self.reaching(pts[rows]) if len(chunks) > 1 else slice(None)
             own = [None if t is None else (t[0][:, cols], t[1][rows]) for t in tables]
             block = self.eval_rows(x[rows], cols, work, (product, own))
-            out[rows] = self.block_values(z, x[rows], block, cols)
+            out[rows] = self.block_values(z, block, self.tail_rows(x[rows]), cols)
         return out
 
-    def block_values(self, z, x, block, cols=slice(None), monomials=None):
-        """float64 values at points x (..., P, m) of the expansion with solution z, from a block.
+    def block_values(self, z, block, tail, cols=slice(None)):
+        """float64 values at points x (..., P, m) of the expansion with solution z, from blocks.
 
-        x and z, (..., N+U, m), are in the rung's array type, and block is
-        eval_rows(x, cols), or a stack's kernel_rows.  monomials, where
-        given, is the tail's monomial_matrix(x), and x is not read.  A
-        float64 product's bits depend on its row count, so a caller holding
-        a larger kernel block gathers exactly these rows into a block of
-        their own.  A double-double product is a pairwise sum per row, whose
-        bits do not.
+        z, (..., N+U, m), is in the rung's array type, block is eval_rows(x,
+        cols), or a stack's kernel_rows, and tail is tail_rows(x), both in
+        that type too.  A float64 product's bits depend on its row count, so
+        a caller holding larger blocks gathers exactly these rows into blocks
+        of their own.  A double-double product is a pairwise sum per row,
+        whose bits do not.
         """
         values = block @ z[..., :self.n, :][..., cols, :]
-        if self.tail_degree is not None:
-            if monomials is None:
-                monomials = monomial_matrix(x, self.tail_degree)
-            values = values + monomials @ z[..., self.n:, :]
+        if tail is not None:
+            values = values + tail @ z[..., self.n:, :]
         if isinstance(values, DDArray):
             return values.to_float()
         return values.astype(float, copy=False)
