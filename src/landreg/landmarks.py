@@ -25,6 +25,8 @@ TILE_SLACK = 1e-12       # relative widening of a tile's candidate radius, over 
 # Widest block, in multiples of k, that _nearest_in_block sorts whole.  On 1600 rows of
 # random values (2-core x86_64, k = 5, 25, 60), the whole-row sort took 0.3-0.6 of the
 # partition path's time at widths up to 2k, 0.6-1.0 at 3k-4k, and 1.2-3.1 times it from 6k on.
+# scale-dense's tiles of 1000 landmarks (k = 25, mostly 80-100 columns) take the partition
+# path, at 0.45 of the whole-row sort's time; the sweep's and the CLI's blocks sort whole.
 SORT_WIDTH = 3
 
 
