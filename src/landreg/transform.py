@@ -36,11 +36,14 @@ _Problem code, on ndarrays of its dtype or, for double-double, on DDArrays.
 
 from __future__ import annotations
 
+import contextvars
 import importlib.util
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
+from functools import partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from itertools import combinations_with_replacement
 from typing import Optional
@@ -66,6 +69,20 @@ SUPPORT_SLACK = 1e-12        # relative widening of a kernel's support when cull
 # the 80-bit rung runs only where np.longdouble carries more digits than float64
 LONGDOUBLE_IS_EXTENDED = np.finfo(np.longdouble).nmant > np.finfo(float).nmant
 PRECISIONS = ("double", "longdouble", "mp")   # the rungs' tags, bottom up
+# Most kernel entries in one part of an evaluation chunk; a chunk holding more runs as
+# parts of whole rows on _PARTS.  A float64 chunk holds at most 2^19 entries, so it runs as
+# one part or two: scale-dense's TPS warp (19,881 points, N = 1000) splits every chunk in
+# two, in 107 ms against 186 and 210 ms in parts of at most 2^16 and 2^15 entries.
+# Smaller chunks stay whole: split at 2^16, scale-dense's Wendland warp right after its fit,
+# beside a BLAS worker still spinning, took 99-114 against 57-79 ms (medians of 8 and 10, in
+# process, 2-core x86_64).
+PART_ENTRIES = 1 << 18
+# Fewest kernel entries (points x sources) of an evaluation whose radial kernel, other than
+# the Gaussian, takes per-axis tables; for those kernels tables give the same bits as the
+# broadcast squares, which cost less below it.  The 1000 per-node evaluations of a
+# scale-dense Shepard-TPS warp (5,500-15,000 entries each, replayed, medians of 16
+# interleaved, 2-core x86_64) took 242 and 294 ms with tables, 229 and 252 ms without.
+TABLE_MIN_ENTRIES = 30_000
 
 
 class SolveError(RuntimeError):
@@ -385,17 +402,32 @@ class _Problem:
         float64, longdouble or DDArray.  The form and the per-axis tables of
         eval_rows are chosen once, over all the points; an axis takes a table
         only if it has at most chunk_rows(N) distinct values, so the table
-        fits a float64 chunk.  The points are then evaluated in row chunks of
-        CHUNK_BYTES at the rung's bytes per kernel entry (_entry_bytes), each
-        gathering its rows of the tables.  With more than one chunk, each
-        uses only the sources whose support reaches its bounding box; a
-        single chunk is one eval_rows product.  A radial kernel's float64 or
-        80-bit chunks build their blocks in one workspace, two chunk-sized
-        arrays made once per call.
+        fits a float64 chunk.  A radial kernel other than the Gaussian, whose
+        form tables do not choose, takes none below TABLE_MIN_ENTRIES entries.
+        The points are then evaluated in row chunks of CHUNK_BYTES at the
+        rung's bytes per kernel entry (_entry_bytes), each gathering its rows
+        of the tables.  With more than one chunk, each uses only the sources
+        whose support reaches its bounding box, culled from the tables once
+        per chunk; a single chunk is one eval_rows product.  A radial
+        kernel's float64 or 80-bit chunks build their blocks in one
+        workspace, two chunk-sized arrays made once per call.
+
+        A chunk of more than PART_ENTRIES entries is cut into the fewest
+        parts of whole rows that each hold at most that many, which _PARTS
+        runs concurrently.  Each part builds its rows of the block in its own
+        rows of the workspace, takes its product without BLAS (block_values)
+        and writes its own rows of the output.  The parts depend on the chunk
+        alone, so the bits do not depend on the number of threads, neither
+        the evaluation's nor BLAS's.  A chunk of at most PART_ENTRIES is one
+        part, run by the caller, whose product keeps BLAS and its bits.
         """
         x = _as_type_of(pts, z)
-        product, tables = _axis_tables(self.kernel, distinct_axes(x, chunk_rows(self.n)),
-                                       _as_type_of(self.sources, z))
+        if (len(pts) * self.n < TABLE_MIN_ENTRIES
+                and not (self.tensor or isinstance(self.kernel, Gaussian))):
+            distinct = [None] * pts.shape[1]
+        else:
+            distinct = distinct_axes(x, chunk_rows(self.n))
+        product, tables = _axis_tables(self.kernel, distinct, _as_type_of(self.sources, z))
         out = np.empty(pts.shape)
         step = chunk_rows(self.n, _entry_bytes(z))
         chunks = range(0, len(pts), step)
@@ -403,14 +435,32 @@ class _Problem:
         radial = isinstance(x, np.ndarray) and not product
         work = (np.empty(size, x.dtype), np.empty(size, x.dtype)) if radial else None
         for start in chunks:
-            rows = slice(start, start + step)
-            cols = self.reaching(pts[rows]) if len(chunks) > 1 else slice(None)
-            own = [None if t is None else (t[0][:, cols], t[1][rows]) for t in tables]
-            block = self.eval_rows(x[rows], cols, work, (product, own))
-            out[rows] = self.block_values(z, block, self.tail_rows(x[rows]), cols)
+            stop = min(start + step, len(pts))
+            cols = self.reaching(pts[start:stop]) if len(chunks) > 1 else slice(None)
+            width = self.n if isinstance(cols, slice) else len(cols)
+            plan = (product, [None if t is None else (t[0][:, cols], t[1]) for t in tables])
+            count = max(1, -(-(stop - start) * width // PART_ENTRIES))
+            cuts = [start + (stop - start) * i // count for i in range(count + 1)]
+            _PARTS.run([partial(self._part_values, out, z, x, slice(a, b), cols, plan,
+                                None if work is None else
+                                [w[(a - start) * width:(b - start) * width] for w in work],
+                                count == 1)
+                        for a, b in zip(cuts, cuts[1:])])
         return out
 
-    def block_values(self, z, block, tail, cols=slice(None)):
+    def _part_values(self, out, z, x, rows, cols, plan, work, blas):
+        """out[rows] = values at x[rows], from the sources[cols]: one part of evaluate's chunk.
+
+        plan is (product form?, per axis None or (its table culled to cols,
+        every point's row in it)), and work the part's own slices of the
+        workspace, or None.
+        """
+        product, tables = plan
+        own = [None if t is None else (t[0], t[1][rows]) for t in tables]
+        block = self.eval_rows(x[rows], cols, work, (product, own))
+        out[rows] = self.block_values(z, block, self.tail_rows(x[rows]), cols, blas)
+
+    def block_values(self, z, block, tail, cols=slice(None), blas=True):
         """float64 values at points x (..., P, m) of the expansion with solution z, from blocks.
 
         z, (..., N+U, m), is in the rung's array type, block is eval_rows(x,
@@ -418,14 +468,90 @@ class _Problem:
         that type too.  A float64 product's bits depend on its row count, so
         a caller holding larger blocks gathers exactly these rows into blocks
         of their own.  A double-double product is a pairwise sum per row,
-        whose bits do not.
+        whose bits do not.  With blas False, a 2-D ndarray product calls no
+        BLAS (_product), so it starts no BLAS thread and its bits do not
+        depend on BLAS's thread count.
         """
-        values = block @ z[..., :self.n, :][..., cols, :]
+        values = _product(block, z[..., :self.n, :][..., cols, :], blas)
         if tail is not None:
-            values = values + tail @ z[..., self.n:, :]
+            values = values + _product(tail, z[..., self.n:, :], blas)
         if isinstance(values, DDArray):
             return values.to_float()
         return values.astype(float, copy=False)
+
+
+def _product(a, b, blas=True):
+    """a @ b, or with blas False and ndarrays, np.einsum's sums over a Fortran-ordered copy of b.
+
+    einsum without optimize calls no BLAS.  Its loop over b's contiguous
+    columns took 0.20 ms on a (262, 1000) by (1000, 2) float64 part, against
+    1.26 ms over a C-ordered b (2-core x86_64).  DDArray products call no
+    BLAS either: they are always @.
+    """
+    if blas or isinstance(a, DDArray):
+        return a @ b
+    return np.einsum("pk,km->pm", a, np.asfortranarray(b))
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its CPU affinity, where the platform reports one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:       # macOS, Windows
+        return os.cpu_count() or 1
+
+
+class _PartPool:
+    """Runs the parts of an evaluation chunk on up to ``workers`` threads, the caller's included.
+
+    The caller runs the first part itself and the rest go to a thread pool
+    of workers - 1 threads, made the first time a call has more than one
+    part.  Each part runs in a copy of the caller's context, so numpy's
+    errstate, a context variable in numpy 2, holds in every part.
+    """
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self._executor = None
+        self._lock = threading.Lock()
+
+    def run(self, parts):
+        """Call every function of parts and return once all have returned.
+
+        An exception of a part is raised once no part runs any more: the
+        caller's own first, else the first part's in order.
+        """
+        if self.workers < 2 or len(parts) < 2:
+            for part in parts:
+                part()
+            return
+        import concurrent.futures      # only where a chunk splits: a cold import takes 10 ms
+        with self._lock:
+            if self._executor is None:
+                self._executor = concurrent.futures.ThreadPoolExecutor(self.workers - 1,
+                                                                       "landreg-eval")
+            executor = self._executor
+        futures = [executor.submit(contextvars.copy_context().run, part) for part in parts[1:]]
+        try:
+            parts[0]()
+        finally:
+            concurrent.futures.wait(futures)
+        for future in futures:
+            future.result()
+
+    def forget(self):
+        """Drop the pool and its lock unused, as a forked child must.
+
+        The child has none of the pool's threads, and another thread may have
+        held the lock at the fork.  Its first split chunk makes a new pool.
+        """
+        self._executor = None
+        self._lock = threading.Lock()
+
+
+_PARTS = _PartPool(_cpu_count())
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=lambda: _PARTS.forget())
 
 
 def _as_type_of(values, like):
