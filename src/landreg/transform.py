@@ -41,7 +41,6 @@ import importlib.util
 import math
 import os
 import sys
-import threading
 from dataclasses import dataclass
 from functools import partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
@@ -70,19 +69,16 @@ SUPPORT_SLACK = 1e-12        # relative widening of a kernel's support when cull
 LONGDOUBLE_IS_EXTENDED = np.finfo(np.longdouble).nmant > np.finfo(float).nmant
 PRECISIONS = ("double", "longdouble", "mp")   # the rungs' tags, bottom up
 # Most kernel entries in one part of an evaluation chunk; a chunk holding more runs as
-# parts of whole rows on _PARTS.  A float64 chunk holds at most 2^19 entries, so it runs as
-# one part or two: scale-dense's TPS warp (19,881 points, N = 1000) splits every chunk in
-# two, in 107 ms against 186 and 210 ms in parts of at most 2^16 and 2^15 entries.
-# Smaller chunks stay whole: split at 2^16, scale-dense's Wendland warp right after its fit,
-# beside a BLAS worker still spinning, took 99-114 against 57-79 ms (medians of 8 and 10, in
-# process, 2-core x86_64).
+# parts of whole rows on PART_THREADS threads.  A float64 chunk holds at most 2^19
+# entries, so it runs as one part or two: scale-dense's TPS warp (19,881 points,
+# N = 1000) splits every chunk in two, in 107 ms against 186 and 210 ms in parts of at
+# most 2^16 and 2^15 entries.  Smaller chunks stay whole: split at 2^16, scale-dense's
+# Wendland warp right after its fit, beside a BLAS worker still spinning, took 99-114
+# against 57-79 ms (medians of 8 and 10, in process, 2-core x86_64).
 PART_ENTRIES = 1 << 18
-# Fewest kernel entries (points x sources) of an evaluation whose radial kernel, other than
-# the Gaussian, takes per-axis tables; for those kernels tables give the same bits as the
-# broadcast squares, which cost less below it.  The 1000 per-node evaluations of a
-# scale-dense Shepard-TPS warp (5,500-15,000 entries each, replayed, medians of 16
-# interleaved, 2-core x86_64) took 242 and 294 ms with tables, 229 and 252 ms without.
-TABLE_MIN_ENTRIES = 30_000
+# Threads the parts of a split chunk run on, the caller's included: no chunk has more than
+# two parts, so a second thread is all they can use.
+PART_THREADS = 2
 
 
 class SolveError(RuntimeError):
@@ -402,50 +398,58 @@ class _Problem:
         float64, longdouble or DDArray.  The form and the per-axis tables of
         eval_rows are chosen once, over all the points; an axis takes a table
         only if it has at most chunk_rows(N) distinct values, so the table
-        fits a float64 chunk.  A radial kernel other than the Gaussian, whose
-        form tables do not choose, takes none below TABLE_MIN_ENTRIES entries.
-        The points are then evaluated in row chunks of CHUNK_BYTES at the
-        rung's bytes per kernel entry (_entry_bytes), each gathering its rows
-        of the tables.  With more than one chunk, each uses only the sources
-        whose support reaches its bounding box, culled from the tables once
-        per chunk; a single chunk is one eval_rows product.  A radial
-        kernel's float64 or 80-bit chunks build their blocks in one
-        workspace, two chunk-sized arrays made once per call.
+        fits a float64 chunk.  The points are then evaluated in row chunks of
+        CHUNK_BYTES at the rung's bytes per kernel entry (_entry_bytes), each
+        gathering its rows of the tables.  With more than one chunk, each
+        uses only the sources whose support reaches its bounding box, culled
+        from the tables once per chunk; a single chunk is one eval_rows
+        product.  A radial kernel's float64 or 80-bit chunks build their
+        blocks in one workspace, two chunk-sized arrays made once per call.
 
         A chunk of more than PART_ENTRIES entries is cut into the fewest
-        parts of whole rows that each hold at most that many, which _PARTS
-        runs concurrently.  Each part builds its rows of the block in its own
-        rows of the workspace, takes its product without BLAS (block_values)
-        and writes its own rows of the output.  The parts depend on the chunk
-        alone, so the bits do not depend on the number of threads, neither
-        the evaluation's nor BLAS's.  A chunk of at most PART_ENTRIES is one
-        part, run by the caller, whose product keeps BLAS and its bits.
+        parts of whole rows that each hold at most that many, which run on
+        PART_THREADS threads (_run_parts): the caller's and those of a pool
+        opened at the first split chunk and closed on return.  Each part
+        builds its rows of the block in its own rows of the workspace, takes
+        its product without BLAS (block_values) and writes its own rows of
+        the output.  The parts depend on the chunk alone, so the bits do not
+        depend on the number of threads, neither the evaluation's nor
+        BLAS's.  A chunk of at most PART_ENTRIES is one part, run by the
+        caller, whose product keeps BLAS and its bits.
         """
         x = _as_type_of(pts, z)
-        if (len(pts) * self.n < TABLE_MIN_ENTRIES
-                and not (self.tensor or isinstance(self.kernel, Gaussian))):
-            distinct = [None] * pts.shape[1]
-        else:
-            distinct = distinct_axes(x, chunk_rows(self.n))
-        product, tables = _axis_tables(self.kernel, distinct, _as_type_of(self.sources, z))
+        product, tables = _axis_tables(self.kernel, distinct_axes(x, chunk_rows(self.n)),
+                                       _as_type_of(self.sources, z))
         out = np.empty(pts.shape)
         step = chunk_rows(self.n, _entry_bytes(z))
         chunks = range(0, len(pts), step)
         size = min(step, len(pts)) * self.n
         radial = isinstance(x, np.ndarray) and not product
         work = (np.empty(size, x.dtype), np.empty(size, x.dtype)) if radial else None
-        for start in chunks:
-            stop = min(start + step, len(pts))
-            cols = self.reaching(pts[start:stop]) if len(chunks) > 1 else slice(None)
-            width = self.n if isinstance(cols, slice) else len(cols)
-            plan = (product, [None if t is None else (t[0][:, cols], t[1]) for t in tables])
-            count = max(1, -(-(stop - start) * width // PART_ENTRIES))
-            cuts = [start + (stop - start) * i // count for i in range(count + 1)]
-            _PARTS.run([partial(self._part_values, out, z, x, slice(a, b), cols, plan,
-                                None if work is None else
-                                [w[(a - start) * width:(b - start) * width] for w in work],
-                                count == 1)
-                        for a, b in zip(cuts, cuts[1:])])
+        pool = None
+        try:
+            for start in chunks:
+                stop = min(start + step, len(pts))
+                cols = self.reaching(pts[start:stop]) if len(chunks) > 1 else slice(None)
+                width = self.n if isinstance(cols, slice) else len(cols)
+                plan = (product, [None if t is None else (t[0][:, cols], t[1]) for t in tables])
+                count = -(-(stop - start) * width // PART_ENTRIES)
+                if count < 2:
+                    self._part_values(out, z, x, slice(start, stop), cols, plan, work, True)
+                    continue
+                if pool is None and PART_THREADS > 1:
+                    # imported only where a chunk splits: a cold import takes 10 ms
+                    from concurrent.futures import ThreadPoolExecutor
+                    pool = ThreadPoolExecutor(PART_THREADS - 1, "landreg-eval")
+                cuts = [start + (stop - start) * i // count for i in range(count + 1)]
+                _run_parts([partial(self._part_values, out, z, x, slice(a, b), cols, plan,
+                                    None if work is None else
+                                    [w[(a - start) * width:(b - start) * width] for w in work],
+                                    False)
+                            for a, b in zip(cuts, cuts[1:])], pool)
+        finally:
+            if pool is not None:
+                pool.shutdown()
         return out
 
     def _part_values(self, out, z, x, rows, cols, plan, work, blas):
@@ -493,65 +497,35 @@ def _product(a, b, blas=True):
     return np.einsum("pk,km->pm", a, np.asfortranarray(b))
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on: its CPU affinity, where the platform reports one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:       # macOS, Windows
-        return os.cpu_count() or 1
+def _run_parts(parts, pool):
+    """Call every function of parts, the first in the caller and the rest on pool, if any.
 
-
-class _PartPool:
-    """Runs the parts of an evaluation chunk on up to ``workers`` threads, the caller's included.
-
-    The caller runs the first part itself and the rest go to a thread pool
-    of workers - 1 threads, made the first time a call has more than one
-    part.  Each part runs in a copy of the caller's context, so numpy's
-    errstate, a context variable in numpy 2, holds in every part.
+    Returns once every part has returned.  An exception of a part is raised
+    once no part runs any more: the caller's own first, else the first
+    part's in order.  A part on the pool runs in a copy of the caller's
+    context and under the caller's numpy error state, which numpy 2 keeps in
+    a context variable and numpy 1 per thread.
     """
-
-    def __init__(self, workers: int):
-        self.workers = workers
-        self._executor = None
-        self._lock = threading.Lock()
-
-    def run(self, parts):
-        """Call every function of parts and return once all have returned.
-
-        An exception of a part is raised once no part runs any more: the
-        caller's own first, else the first part's in order.
-        """
-        if self.workers < 2 or len(parts) < 2:
-            for part in parts:
-                part()
-            return
-        import concurrent.futures      # only where a chunk splits: a cold import takes 10 ms
-        with self._lock:
-            if self._executor is None:
-                self._executor = concurrent.futures.ThreadPoolExecutor(self.workers - 1,
-                                                                       "landreg-eval")
-            executor = self._executor
-        futures = [executor.submit(contextvars.copy_context().run, part) for part in parts[1:]]
-        try:
-            parts[0]()
-        finally:
-            concurrent.futures.wait(futures)
-        for future in futures:
-            future.result()
-
-    def forget(self):
-        """Drop the pool and its lock unused, as a forked child must.
-
-        The child has none of the pool's threads, and another thread may have
-        held the lock at the fork.  Its first split chunk makes a new pool.
-        """
-        self._executor = None
-        self._lock = threading.Lock()
+    if pool is None:
+        for part in parts:
+            part()
+        return
+    from concurrent.futures import wait
+    state = dict(np.geterr(), call=np.geterrcall())
+    futures = [pool.submit(contextvars.copy_context().run, _in_errstate, state, part)
+               for part in parts[1:]]
+    try:
+        parts[0]()
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
-_PARTS = _PartPool(_cpu_count())
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=lambda: _PARTS.forget())
+def _in_errstate(state, part):
+    """part() under the numpy error state np.errstate(**state)."""
+    with np.errstate(**state):
+        part()
 
 
 def _as_type_of(values, like):

@@ -1,21 +1,24 @@
-"""Large evaluation chunks split into parts of rows that run on a thread pool.
+"""Large evaluation chunks split into parts of rows that run on threads.
 
 A chunk of more than PART_ENTRIES kernel entries runs as parts that
 depend on the chunk alone, each with a product that calls no BLAS.  So a
 result's bits must not depend on the number of threads: neither the
-evaluation's pool nor BLAS's.  The pool must also behave as a caller
-expects of a plain function call: errors and numpy's errstate reach across
-it, a forked child can evaluate, and work that does not split starts no
-thread.
+evaluation's nor BLAS's.  The parts must also behave as a caller expects
+of a plain function call: errors and numpy's error state reach across
+them, a forked child can evaluate, work that does not split starts no
+thread, and work that does leaves none behind.
 """
 
+import contextvars
 import multiprocessing
 import os
 import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,39 +26,36 @@ import pytest
 from landreg import transform
 from landreg.bench import CaseSpec, build_method, default_grid, gen_case
 from landreg.cli import cli_main
-from landreg.kernels import GeneralizedMultiquadric, ThinPlateSpline, WendlandRadial
-from landreg.transform import _PartPool, _Problem, solve_transform
+from landreg.kernels import ThinPlateSpline, WendlandRadial
+from landreg.transform import _Problem, _run_parts, solve_transform
 from test_locality import jittered_lattice
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-class CountingPool(_PartPool):
-    """A _PartPool that records how many parts each chunk ran as."""
-
-    def __init__(self, workers):
-        super().__init__(workers)
-        self.parts = []
-
-    def run(self, parts):
-        self.parts.append(len(parts))
-        super().run(parts)
-
-
 @pytest.fixture
-def pool(monkeypatch):
-    """pool(workers): a fresh CountingPool of that many threads, installed as the module's pool."""
-    made = []
+def threads(monkeypatch):
+    """threads(n): evaluate on n threads; returns the list of (parts, pool used?) of each chunk."""
+    calls = []
+    part_values = _Problem._part_values
 
-    def install(workers):
-        made.append(CountingPool(workers))
-        monkeypatch.setattr(transform, "_PARTS", made[-1])
-        return made[-1]
+    def counting(parts, pool):
+        calls.append((len(parts), pool is not None))
+        _run_parts(parts, pool)
 
-    yield install
-    for each in made:
-        if each._executor is not None:
-            each._executor.shutdown()
+    def whole(self, *args):
+        if args[-1]:                                  # BLAS's product: a chunk of one part
+            calls.append((1, False))
+        part_values(self, *args)
+
+    def install(count):
+        monkeypatch.setattr(transform, "PART_THREADS", count)
+        calls.clear()
+        return calls
+
+    monkeypatch.setattr(transform, "_run_parts", counting)
+    monkeypatch.setattr(_Problem, "_part_values", whole)
+    return install
 
 
 def split_case(name):
@@ -81,7 +81,7 @@ RUNGS = {"tps": "double", "wendland-culled": "double", "gaussian-product-form": 
 
 
 @pytest.mark.parametrize("name", list(RUNGS))
-def test_split_evaluation_has_the_same_bits_on_1_2_and_3_threads(name, pool, monkeypatch):
+def test_split_evaluation_has_the_same_bits_on_1_2_and_3_threads(name, threads, monkeypatch):
     t, x, part_entries = split_case(name)
     assert t.precision == RUNGS[name]
     whole = t(x)
@@ -90,10 +90,12 @@ def test_split_evaluation_has_the_same_bits_on_1_2_and_3_threads(name, pool, mon
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)                   # the threads interleave as often as they can
     try:
-        for workers in (1, 2, 3):
-            counting = pool(workers)
+        for count in (1, 2, 3):
+            calls = threads(count)
             results.append(t(x))
-            assert min(counting.parts) >= 3       # every chunk split, enough for three threads
+            # every chunk split, enough for three threads, and only one thread runs them all
+            assert min(parts for parts, _ in calls) >= 3
+            assert {pooled for _, pooled in calls} == {count > 1}
     finally:
         sys.setswitchinterval(interval)
     assert all(np.array_equal(results[0], other) for other in results[1:])
@@ -111,13 +113,15 @@ def test_split_evaluation_has_the_same_bits_on_1_2_and_3_threads(name, pool, mon
     assert (np.abs(results[0] - whole) <= bound).all()
 
 
-def test_dense_tps_chunks_split_in_two_at_the_default_part_size(pool):
+def test_dense_tps_chunks_split_in_two_at_the_default_part_size(threads):
     """scale-dense's TPS warp: N = 1000 and 141 x 141 points, 38 chunks of at most 524 rows."""
     rng = np.random.default_rng(4)
     problem = _Problem(ThinPlateSpline(), rng.uniform(0.0, 1.0, (1000, 2)), 1)
-    counting = pool(2)
+    calls = threads(transform.PART_THREADS)
+    before = threading.active_count()
     problem.evaluate(rng.standard_normal((1003, 2)), default_grid(141, 141).points)
-    assert counting.parts == [2] * 38
+    assert calls == [(2, True)] * 38
+    assert threading.active_count() == before         # the pool closed on return
 
 
 def sharp_gaussian_points():
@@ -133,33 +137,43 @@ def sharp_gaussian_points():
     return t, x
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_every_part_runs_under_the_callers_errstate(workers, pool, monkeypatch):
+@pytest.mark.parametrize("count", [1, 2])
+def test_every_part_runs_under_the_callers_errstate(count, threads, monkeypatch):
     t, x = sharp_gaussian_points()
     assert t.precision == "double"
     monkeypatch.setattr(transform, "PART_ENTRIES", 800 * t._problem.n)
-    counting = pool(workers)
+    calls = threads(count)
     assert np.isfinite(t(x)).all()                    # numpy's default ignores underflow
     with np.errstate(under="raise"):
         with pytest.raises(FloatingPointError, match="underflow"):
             t(x)
-    assert counting.parts == [2, 2]                   # the second part, a worker's, underflows
+    assert calls == [(2, count > 1)] * 2             # the second part, a worker's, underflows
+
+
+def test_a_worker_part_takes_the_callers_errstate_outside_its_context(threads, monkeypatch):
+    """numpy 1 keeps its error state per thread: the caller's context does not carry it."""
+    t, x = sharp_gaussian_points()
+    monkeypatch.setattr(transform, "PART_ENTRIES", 800 * t._problem.n)
+    monkeypatch.setattr(transform, "contextvars", SimpleNamespace(copy_context=contextvars.Context))
+    threads(2)
+    with np.errstate(under="raise"):
+        with pytest.raises(FloatingPointError, match="underflow"):
+            t(x)
+    seen = []
+    with np.errstate(under="call", call=lambda kind, flag: seen.append(kind)):
+        t(x)
+    assert seen == ["underflow"]
 
 
 def test_an_exception_in_a_worker_part_reaches_the_caller():
-    parts = _PartPool(2)
-
     def fails():
         raise KeyError("part 2")
-    try:
+    with ThreadPoolExecutor(1) as pool:
         with pytest.raises(KeyError, match="part 2"):
-            parts.run([lambda: None, fails])
-    finally:
-        parts._executor.shutdown()
+            _run_parts([lambda: None, fails], pool)
 
 
-def test_run_returns_or_raises_only_once_every_part_has_returned():
-    parts = _PartPool(2)
+def test_run_parts_returns_or_raises_only_once_every_part_has_returned():
     done = []
 
     def slow():
@@ -168,12 +182,10 @@ def test_run_returns_or_raises_only_once_every_part_has_returned():
 
     def fails():
         raise ValueError("caller's part")
-    try:
+    with ThreadPoolExecutor(1) as pool:
         with pytest.raises(ValueError, match="caller's part"):
-            parts.run([fails, slow])
+            _run_parts([fails, slow], pool)
         assert done == [True]
-    finally:
-        parts._executor.shutdown()
 
 
 def _evaluate_in_child(t, x, conn):
@@ -183,12 +195,12 @@ def _evaluate_in_child(t, x, conn):
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="no fork start method on this platform")
-def test_a_forked_child_evaluates_a_split_grid_with_the_parents_bits(pool, monkeypatch):
+def test_a_forked_child_evaluates_a_split_grid_with_the_parents_bits(threads, monkeypatch):
     t, x, part_entries = split_case("tps")
     monkeypatch.setattr(transform, "PART_ENTRIES", part_entries)
-    counting = pool(2)
+    calls = threads(2)
     expected = t(x)
-    assert counting._executor is not None             # the parent's pool has its thread
+    assert all(pooled for _, pooled in calls)         # the parent ran its parts on a pool
     receive, send = multiprocessing.Pipe(duplex=False)
     child = multiprocessing.get_context("fork").Process(target=_evaluate_in_child,
                                                         args=(t, x, send))
@@ -233,8 +245,8 @@ def test_split_evaluation_has_the_same_bits_at_one_and_two_blas_threads(tmp_path
     assert np.array_equal(np.load(tmp_path / "out1.npy"), np.load(tmp_path / "out2.npy"))
 
 
-def test_a_sweep_warp_and_a_regcli_solve_start_no_thread(pool, tmp_path):
-    counting = pool(2)
+def test_a_sweep_warp_and_a_regcli_solve_start_no_thread(threads, tmp_path):
+    calls = threads(transform.PART_THREADS)
     before = threading.active_count()
     landmarks, grid, _ = gen_case(CaseSpec("square-scale-64"))
     for method, value in [("tps", None), ("g", 1.2), ("w2-2d", 0.6), ("shep-tps", None)]:
@@ -245,22 +257,4 @@ def test_a_sweep_warp_and_a_regcli_solve_start_no_thread(pool, tmp_path):
     assert cli_main(["solve", "--landmarks", str(lm), "--config", str(cfg),
                      "--grid-out", str(out)]) == 0
     assert threading.active_count() == before
-    assert counting._executor is None and set(counting.parts) == {1}
-
-
-@pytest.mark.parametrize("kernel", [ThinPlateSpline(), WendlandRadial(2, 1, 3.0),
-                                    GeneralizedMultiquadric(0.5, 1)])
-def test_radial_blocks_below_the_table_size_have_the_bits_of_tabled_ones(kernel, monkeypatch):
-    landmarks = jittered_lattice(5, seed=2)
-    t = solve_transform(kernel, landmarks)
-    small, large = default_grid(21, 21).points, default_grid(120, 120).points
-    assert len(small) * landmarks.n < transform.TABLE_MIN_ENTRIES <= len(large) * landmarks.n
-    tabled = []
-    distinct_axes = transform.distinct_axes
-    monkeypatch.setattr(transform, "distinct_axes",
-                        lambda *args: tabled.append(len(args[0])) or distinct_axes(*args))
-    default = [t(small), t(large)]
-    assert tabled == [len(large)]                     # the small block takes no table
-    monkeypatch.setattr(transform, "TABLE_MIN_ENTRIES", 0)
-    assert all(np.array_equal(a, b) for a, b in zip(default, [t(small), t(large)]))
-    assert tabled == [len(large), len(small), len(large)]
+    assert calls and set(calls) == {(1, False)}

@@ -148,29 +148,6 @@ def test_dump_records_the_blas_thread_setting_and_compare_lists_it(tmp_path, mon
     assert "blas|OPENBLAS_NUM_THREADS: differs" in out and "1 of 1 fields differ" in out
 
 
-def test_dump_records_the_evaluation_workers_with_the_scale_dense_fields(tmp_path, monkeypatch,
-                                                                      capsys):
-    from landreg import transform
-    tool = load_tool()
-    for name in ("operations", "record_regcli"):
-        monkeypatch.setattr(tool, name, lambda: iter(()))
-    monkeypatch.setattr(tool, "record_dense", lambda: iter([("tps", {"grid": np.zeros(2)})]))
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    paths = []
-    for workers in (3, 1):
-        monkeypatch.setattr(transform, "_PARTS", transform._PartPool(workers))
-        paths.append(str(tmp_path / f"workers{workers}.npz"))
-        tool.dump(paths[-1])
-        with np.load(paths[-1]) as fields:
-            assert set(fields.files) == {"blas|OPENBLAS_NUM_THREADS", "tps|scale-dense|0|grid",
-                                         "eval|workers"}
-            assert int(fields["eval|workers"]) == workers
-    capsys.readouterr()
-    assert tool.main(["compare", *paths]) == 1
-    out = capsys.readouterr().out
-    assert "eval|workers: differs" in out and "1 of 3 fields differ" in out
-
-
 X87 = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize > 10
 
 

@@ -42,11 +42,7 @@ scale-dense fields move with it.  So a script run sets
 OPENBLAS_NUM_THREADS=1 before numpy loads, unless the caller has set it,
 and ``dump`` records the setting as the field ``blas|OPENBLAS_NUM_THREADS``
 ("unset" where it is not set): ``compare`` lists it for two dumps made at
-different settings.  With the scale-dense fields, whose large evaluation
-chunks run as parts on a thread pool, it records the number of threads a
-chunk's parts may run on as ``eval|workers`` (1 for a landreg from before
-the parts).  Their bits must not depend on it, so dumps made at two
-counts should differ in that field alone.
+different settings.
 """
 
 from __future__ import annotations
@@ -195,24 +191,14 @@ def record_regcli():
         yield "real-life|report", {"real_life_csv": emit("real-life")}
 
 
-def _evaluation_workers() -> int:
-    """The threads an evaluation chunk's parts may run on, the caller's included."""
-    from landreg import transform
-    parts = getattr(transform, "_PARTS", None)
-    return 1 if parts is None else parts.workers
-
-
 def dump(path: str) -> int:
     fields = {"blas|OPENBLAS_NUM_THREADS": np.array(os.environ.get("OPENBLAS_NUM_THREADS", "unset"))}
     for method, case, value in operations():
         for name, array in record(method, case, value).items():
             fields[f"{method}|{case}|{value}|{name}"] = array
-    dense = list(record_dense())
-    for method, dense_fields in dense:
+    for method, dense_fields in record_dense():
         for name, array in dense_fields.items():
             fields[f"{method}|scale-dense|{DENSE_SEED}|{name}"] = array
-    if dense:
-        fields["eval|workers"] = np.array(_evaluation_workers())
     for label, text_fields in record_regcli():
         for name, array in text_fields.items():
             fields[f"regcli|{label}|{name}"] = array
