@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import RadialKernel, _positive_finite, polynomial_tail_degree
-from .landmarks import CHUNK_BYTES, LandmarkSet, k_nearest
+from .landmarks import LandmarkSet, k_nearest
 from ._dd import DDArray
 from .transform import (PRECISIONS, GlobalRadialTransform, SolveError, Transformation, _as_type_of,
-                        _entry_bytes, _Problem, solve_transform, tail_dimension)
+                        _block_pays, _entry_bytes, _Problem, solve_transform, tail_dimension)
 
 
 SNAP_RADIUS = 1e-12   # points this close to a landmark take its weight alone
@@ -143,10 +143,10 @@ def _shared_values(kernel, landmarks, members, pts):
     monomials are computed once on its points.  Kernel values and
     monomials are elementwise, so the (P_j, N_L) sub-block and the rows a
     member gathers carry the bits of its own eval_rows and tail_rows
-    wherever both take the same (radial or product) form.  None when the
-    block would hold more entries than the members' separate blocks
-    together, or more than one evaluation chunk of the rung; within one
-    chunk each member's own evaluation is one chunk too, so the gathered
+    wherever both take the same (radial or product) form.  None where
+    _block_pays refuses the block against the members' separate blocks at
+    the rung's bytes per entry: a block it approves fits one evaluation
+    chunk, and so does each member's own evaluation, so the gathered
     product is the one it would run.  The unions are masks over the points
     and the landmarks, counted before anything is built.
     """
@@ -156,10 +156,10 @@ def _shared_values(kernel, landmarks, members, pts):
     in_block[np.concatenate([active for _, active in members])] = True
     in_cols = np.zeros(landmarks.n, dtype=bool)
     in_cols[np.concatenate([nf.neighbors for nf, _ in members])] = True
-    entries = np.count_nonzero(in_block) * np.count_nonzero(in_cols)
     problem, z = members[0][0].interpolant._problem, members[0][0].interpolant._z
-    if (entries > sum(len(active) * len(nf.neighbors) for nf, active in members)
-            or entries * _entry_bytes(z) > CHUNK_BYTES):
+    if not _block_pays(np.count_nonzero(in_block), np.count_nonzero(in_cols),
+                       sum(len(active) * len(nf.neighbors) for nf, active in members),
+                       _entry_bytes(z)):
         return None
     row_of, col_of = np.cumsum(in_block) - 1, np.cumsum(in_cols) - 1   # positions in the block
     x = _as_type_of(pts[in_block], z)
@@ -203,15 +203,13 @@ def _evaluate(cfg, landmarks, rho, nodal, pts):
 def _center_values(nodal, landmarks: LandmarkSet) -> np.ndarray:
     """L_j(x_j) of every nodal function, (len(nodal), m), in one stacked evaluation per rung.
 
-    A float64 or 80-bit rung takes the (S, 1, N_L) kernel rows of its S
-    centres from the nodal systems' shared landmark block where it took
-    one; otherwise, and on the double-double rung, they come from one
-    stacked kernel_rows.  One stacked matmul, plus the tail's, gives the
-    values.  Each row is the kernel_rows of the single point x_j, and each
-    float64 or 80-bit coefficient slice keeps its interpolant's memory
-    layout, so a stacked product, which runs each member's own BLAS call,
-    carries the bits of the interpolant's own evaluation at x_j.  A
-    double-double product is a pairwise sum per row, stacked or not.
+    The (S, 1, N_L) kernel rows of a rung's S centres come from one stacked
+    kernel_rows, and one stacked matmul, plus the tail's, gives the values.
+    Each row is the kernel_rows of the single point x_j, and each float64
+    or 80-bit coefficient slice keeps its interpolant's memory layout, so a
+    stacked product, which runs each member's own BLAS call, carries the
+    bits of the interpolant's own evaluation at x_j.  A double-double
+    product is a pairwise sum per row, stacked or not.
     """
     out = np.empty((len(nodal), landmarks.dimension))
     for precision in PRECISIONS:
@@ -223,11 +221,7 @@ def _center_values(nodal, landmarks: LandmarkSet) -> np.ndarray:
         index = np.array([nf.neighbors for nf in members])
         problem = members[0].interpolant._problem
         x = _as_type_of(landmarks.sources[centers][:, None], members[0].interpolant._z)
-        rows = None
-        if problem.shared is not None and precision != "mp":
-            rows = problem.shared.take(centers[:, None], index, x.dtype)
-        if rows is None:
-            rows = _Problem(problem.kernel, landmarks.sources[index], None).kernel_rows(x)
+        rows = _Problem(problem.kernel, landmarks.sources[index], None).kernel_rows(x)
         z = [nf.interpolant._z for nf in members]
         if precision == "mp":
             z = DDArray(np.stack([z_j.hi for z_j in z]), np.stack([z_j.lo for z_j in z]))
@@ -248,8 +242,6 @@ class ShepardTransform(Transformation):
         self.nodal = nodal
         self.rho = rho
         centers = _center_values(nodal, landmarks)
-        for shared in {nf.interpolant._problem.shared for nf in nodal} - {None}:
-            shared.release()     # the transform would otherwise hold up to CHUNK_BYTES per rung
         self.residual = float(np.abs(centers - landmarks.targets).max())
         self.condition = max(nf.interpolant.condition for nf in nodal)
         self.ill_conditioned = any(nf.interpolant.ill_conditioned for nf in nodal)

@@ -207,55 +207,15 @@ def _tensor_matrix(kernel, x, centers, tables=None):
     return out
 
 
-class SharedKernelBlock:
-    """The kernel matrix between all sources of one landmark set, built once per dtype.
+def _block_pays(rows, cols, separate, entry_bytes) -> bool:
+    """Whether one rows x cols kernel block pays, shared by systems instead of their own blocks.
 
-    Systems over subsets of the set gather their kernel blocks from it.
-    Kernel values are elementwise, so a gathered block carries the bits of
-    the subset's own kernel_rows.  Only the dtypes given take a block; each
-    is built the first time it is asked for.
+    It does when it holds no more entries than separate, the entries of
+    the systems' separate blocks together, and fits CHUNK_BYTES at
+    entry_bytes per entry.  Kernel values are elementwise, so a system's
+    sub-block gathered from it carries the bits of its own.
     """
-
-    def __init__(self, kernel, sources, dtypes):
-        self.kernel = kernel
-        self.sources = sources
-        self.dtypes = frozenset(np.dtype(d) for d in dtypes)
-        self._blocks = {}
-
-    def take(self, rows, cols, dtype):
-        """block[rows[..., :, None], cols[..., None, :]] in dtype, or None where dtype takes no block.
-
-        rows (..., R) and cols (..., C) index the set's sources.  1-D ones
-        give the (R, C) sub-block; (S, R) and (S, C) ones give the (S, R, C)
-        stack of the S sub-blocks in one fancy index.
-        """
-        dtype = np.dtype(dtype)
-        if dtype not in self.dtypes:
-            return None
-        block = self._blocks.get(dtype)
-        if block is None:
-            whole = _Problem(self.kernel, self.sources, None)
-            block = self._blocks[dtype] = whole.kernel_rows(self.sources.astype(dtype))
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        return block[rows[..., :, None], cols[..., None, :]]
-
-    def release(self):
-        """Drop the built blocks, which the solved systems no longer need; take rebuilds them."""
-        self._blocks.clear()
-
-
-def _landmark_block(kernel, landmarks: LandmarkSet, k: int) -> SharedKernelBlock | None:
-    """The landmarks x landmarks kernel block that systems over k of them share, or None.
-
-    A float64 or 80-bit rung takes the block only when its N^2 entries
-    are no more than the N separate (k, k) blocks hold together, and it
-    fits CHUNK_BYTES.  A refused rung, and the double-double rung, which
-    holds few systems, evaluate their stack's kernel blocks in one pass.
-    """
-    n = landmarks.n
-    dtypes = [dtype for dtype in (np.dtype(float), np.dtype(np.longdouble))
-              if n <= k * k and n * n * dtype.itemsize <= CHUNK_BYTES]
-    return SharedKernelBlock(kernel, landmarks.sources, dtypes) if dtypes else None
+    return rows * cols <= separate and rows * cols * entry_bytes <= CHUNK_BYTES
 
 
 @dataclass(frozen=True)
@@ -263,15 +223,18 @@ class _Problem:
     """One interpolation system, or a stack of equally sized ones.
 
     Kernel, geometry (sources (N, m), or (S, N, m) for a stack) and
-    optional polynomial tail.
+    optional polynomial tail.  Systems over subsets of one landmark set,
+    as Shepard's nodal systems are, also hold that set's sources, whole,
+    and their positions in it, index: build may gather their kernel
+    blocks from one block over whole.
     """
 
     kernel: object
     sources: np.ndarray
     tail_degree: Optional[int]
-    # a block shared with other systems, and the positions of these sources in it:
+    # the landmark sources these are drawn from, and their positions in them:
     # (N,), or (S, N) for a stack
-    shared: Optional[SharedKernelBlock] = None
+    whole: Optional[np.ndarray] = None
     index: Optional[np.ndarray] = None
 
     def __getitem__(self, rows):
@@ -280,7 +243,7 @@ class _Problem:
         None makes a single system a stack of one.
         """
         index = None if self.index is None else self.index[rows]
-        return _Problem(self.kernel, self.sources[rows], self.tail_degree, self.shared, index)
+        return _Problem(self.kernel, self.sources[rows], self.tail_degree, self.whole, index)
 
     @property
     def n(self) -> int:
@@ -365,9 +328,15 @@ class _Problem:
     def build(self, dtype):
         """The saddle matrix [[M, Q], [Q^T, 0]] (M alone when U = 0), (..., N+U, N+U), in dtype.
 
-        assemble's, with its kernel blocks gathered from the shared block where that holds dtype.
+        assemble's.  Systems drawn from whole gather their kernel blocks from
+        its whole x whole kernel matrix where _block_pays approves it for
+        them; it is built in this call and dropped on return.
         """
-        m_mat = None if self.shared is None else self.shared.take(self.index, self.index, dtype)
+        m_mat, dtype = None, np.dtype(dtype)
+        if self.whole is not None and _block_pays(len(self.whole), len(self.whole),
+                                                  self.index.size * self.n, dtype.itemsize):
+            whole, index = self.whole.astype(dtype), self.index
+            m_mat = self._kernel_matrix(whole, whole)[index[..., :, None], index[..., None, :]]
         return self.assemble(self.sources.astype(dtype), m_mat)
 
     def assemble(self, src, m_mat=None):
@@ -503,29 +472,21 @@ def _run_parts(parts, pool):
     Returns once every part has returned.  An exception of a part is raised
     once no part runs any more: the caller's own first, else the first
     part's in order.  A part on the pool runs in a copy of the caller's
-    context and under the caller's numpy error state, which numpy 2 keeps in
-    a context variable and numpy 1 per thread.
+    context, so under the caller's numpy error state, which numpy keeps in
+    a context variable.
     """
     if pool is None:
         for part in parts:
             part()
         return
     from concurrent.futures import wait
-    state = dict(np.geterr(), call=np.geterrcall())
-    futures = [pool.submit(contextvars.copy_context().run, _in_errstate, state, part)
-               for part in parts[1:]]
+    futures = [pool.submit(contextvars.copy_context().run, part) for part in parts[1:]]
     try:
         parts[0]()
     finally:
         wait(futures)
     for future in futures:
         future.result()
-
-
-def _in_errstate(state, part):
-    """part() under the numpy error state np.errstate(**state)."""
-    with np.errstate(**state):
-        part()
 
 
 def _as_type_of(values, like):
@@ -799,14 +760,14 @@ def solve_transform(kernel, landmarks: LandmarkSet, neighborhoods=None):
     in one pass, and its first bad row raises the error ``subset`` raises
     for it.  The S subsets, the stacked sources and the right-hand sides
     are then cut from ``landmarks`` by one fancy index each.  Where
-    _landmark_block allows it, the systems gather their kernel blocks from
-    one landmarks x landmarks block.
+    _block_pays approves it for the systems a rung assembles, they gather
+    their kernel blocks from one landmarks x landmarks block (_Problem.build).
     """
     if isinstance(kernel, LobachevskySpline) and kernel.n % 2 != 0:
         raise ValueError("tensor-product transforms need an even spline order n")
     degree = polynomial_tail_degree(kernel)
     if neighborhoods is None:
-        index = shared = None
+        index = whole = None
         sources, targets = landmarks.sources[None], landmarks.targets[None]
     else:
         index = np.asarray(neighborhoods)
@@ -815,14 +776,14 @@ def solve_transform(kernel, landmarks: LandmarkSet, neighborhoods=None):
         landmarks._check_rows(index)
         sources, targets, quasi = (arr[index] for arr in
                                    (landmarks.sources, landmarks.targets, landmarks.quasi))
-        shared = _landmark_block(kernel, landmarks, index.shape[1])
+        whole = landmarks.sources
     count, n, dim = sources.shape
     u = tail_dimension(dim, degree)
     if u and u >= n:
         raise ValueError(
             f"polynomial tail needs more landmarks: U = {u} must be < N = {n}"
         )
-    stack = _Problem(kernel, sources, degree, shared, index)
+    stack = _Problem(kernel, sources, degree, whole, index)
     rhs = np.zeros((count, n + u, dim))
     rhs[:, :n] = targets
     kind = TensorProductTransform if stack.tensor else GlobalRadialTransform

@@ -9,7 +9,6 @@ them, a forked child can evaluate, work that does not split starts no
 thread, and work that does leaves none behind.
 """
 
-import contextvars
 import multiprocessing
 import os
 import subprocess
@@ -18,7 +17,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -137,32 +135,23 @@ def sharp_gaussian_points():
     return t, x
 
 
-@pytest.mark.parametrize("count", [1, 2])
-def test_every_part_runs_under_the_callers_errstate(count, threads, monkeypatch):
+@pytest.mark.parametrize("count, under", [(1, "raise"), (2, "raise"), (1, "call"), (2, "call")],
+                         ids=["1", "2", "1-call", "2-call"])
+def test_every_part_runs_under_the_callers_errstate(count, under, threads, monkeypatch):
     t, x = sharp_gaussian_points()
     assert t.precision == "double"
     monkeypatch.setattr(transform, "PART_ENTRIES", 800 * t._problem.n)
     calls = threads(count)
     assert np.isfinite(t(x)).all()                    # numpy's default ignores underflow
-    with np.errstate(under="raise"):
-        with pytest.raises(FloatingPointError, match="underflow"):
-            t(x)
-    assert calls == [(2, count > 1)] * 2             # the second part, a worker's, underflows
-
-
-def test_a_worker_part_takes_the_callers_errstate_outside_its_context(threads, monkeypatch):
-    """numpy 1 keeps its error state per thread: the caller's context does not carry it."""
-    t, x = sharp_gaussian_points()
-    monkeypatch.setattr(transform, "PART_ENTRIES", 800 * t._problem.n)
-    monkeypatch.setattr(transform, "contextvars", SimpleNamespace(copy_context=contextvars.Context))
-    threads(2)
-    with np.errstate(under="raise"):
-        with pytest.raises(FloatingPointError, match="underflow"):
-            t(x)
     seen = []
-    with np.errstate(under="call", call=lambda kind, flag: seen.append(kind)):
-        t(x)
-    assert seen == ["underflow"]
+    with np.errstate(under=under, call=lambda kind, flag: seen.append(kind)):
+        if under == "raise":
+            with pytest.raises(FloatingPointError, match="underflow"):
+                t(x)
+        else:
+            t(x)
+    assert seen == ([] if under == "raise" else ["underflow"])
+    assert calls == [(2, count > 1)] * 2             # the second part, a worker's, underflows
 
 
 def test_an_exception_in_a_worker_part_reaches_the_caller():

@@ -1,5 +1,3 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +6,11 @@ from hypothesis import strategies as st
 from landreg import shepard, transform
 from landreg.bench import CASE_KINDS, CaseSpec, build_method, default_grid, gen_case
 from landreg.kernels import Gaussian, ThinPlateSpline
-from landreg.landmarks import LandmarkSet
+from landreg.landmarks import CHUNK_BYTES, LandmarkSet
 from landreg.shepard import (SNAP_RADIUS, NodalSolveError, ShepardConfig,
                              build_nodal_interpolants, build_shepard_transform,
                              nearest_landmarks, node_radii)
-from landreg.transform import SharedKernelBlock, _Problem, solve_transform
+from landreg.transform import _Problem, solve_transform
 from weights import scattered_weights
 
 
@@ -264,6 +262,54 @@ def test_locality_perturbation_is_bit_exact():
     assert np.array_equal(base(x), perturbed(x))
 
 
+@st.composite
+def local_problems(draw):
+    """Landmarks on a jittered 1-3-D lattice, their targets, probes and a Shepard config."""
+    m = draw(st.integers(1, 3))
+    side = draw(st.integers(3 if m == 1 else 2, {1: 16, 2: 6, 3: 3}[m]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cells = np.stack(np.meshgrid(*[np.arange(side)] * m, indexing="ij"), -1).reshape(-1, m)
+    src = (cells + 0.5 + rng.uniform(-0.35, 0.35, cells.shape)) / side
+    tgt = src + rng.uniform(-0.3, 0.3, src.shape) / side
+    probes = np.concatenate([rng.uniform(-0.2, 1.2, (40, m)), src[rng.permutation(len(src))[:3]]])
+    kernel = draw(st.sampled_from([Gaussian(0.1 * side), Gaussian(3.0 * side), ThinPlateSpline()]))
+    low = m + 2 if isinstance(kernel, ThinPlateSpline) else 1
+    n_l = draw(st.integers(low, max(low, len(src) // 2)))
+    n_w = draw(st.integers(1, len(src)))
+    rho = draw(st.one_of(st.none(), st.floats(0.05, 1.5)))
+    return LandmarkSet(src, tgt), probes, ShepardConfig(kernel, n_l, n_w, rho), rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(local_problems())
+def test_shepard_weights_and_values_are_local(problem):
+    """Weights are a partition of unity over the N_W nearest, and F(x) reads only their fits.
+
+    A landmark in no neighbourhood of x's weighted nodes may have its
+    target moved without a bit of F(x) moving.
+    """
+    lm, probes, cfg, rng = problem
+    t = build_shepard_transform(lm, cfg)
+    wbar = scattered_weights(lm, cfg, t.rho, probes)
+    assert (wbar >= 0.0).all()
+    assert np.abs(wbar.sum(axis=1) - 1.0).max() <= 4 * cfg.n_w * np.finfo(float).eps
+    d2 = ((probes[:, None] - lm.sources[None]) ** 2).sum(-1)
+    kth = np.sort(d2, axis=1)[:, cfg.n_w - 1]
+    weighted = wbar > 0.0
+    assert (weighted.sum(axis=1) <= cfg.n_w).all()
+    assert (np.where(weighted, d2, 0.0) <= kth[:, None] * (1.0 + 1e-12)).all()
+
+    k = int(rng.integers(lm.n))
+    moved = lm.targets.copy()
+    moved[k] += rng.uniform(-0.5, 0.5, lm.dimension) / lm.n ** (1.0 / lm.dimension)
+    neighbors = np.array([nf.neighbors for nf in t.nodal])
+    reads = np.array([np.isin(k, neighbors[row]) for row in weighted])
+    far = probes[~reads]
+    if len(far):
+        other = build_shepard_transform(LandmarkSet(lm.sources, moved), cfg)
+        assert np.array_equal(t(far), other(far))
+
+
 def test_degenerate_neighborhood_reports_node():
     src = np.column_stack([np.linspace(0.0, 1.0, 6), np.zeros(6)])
     lm = LandmarkSet(src, src + [0.0, 0.1])
@@ -480,80 +526,100 @@ def test_nodes_that_weigh_no_point_and_tiny_inputs(shared_blocks):
 
 
 # ---------------------------------------------------------------------------
-# nodal assembly from one shared landmarks x landmarks block per rung
+# nodal assembly from one landmarks x landmarks block per build
 
 
-def taken_blocks(monkeypatch):
-    """(rows shape, cols shape, dtype, taken) of every sub-block asked of a shared landmark block."""
-    taken = []
-    take = SharedKernelBlock.take
+def block_decisions(monkeypatch):
+    """(rows, cols, separate, entry_bytes, approved) of every _block_pays call of an assembly."""
+    decisions = []
+    pays = transform._block_pays
 
-    def spy(self, rows, cols, dtype):
-        block = take(self, rows, cols, dtype)
-        taken.append((np.shape(rows), np.shape(cols), np.dtype(dtype), block is not None))
-        return block
+    def spy(rows, cols, separate, entry_bytes):
+        approved = pays(rows, cols, separate, entry_bytes)
+        decisions.append((rows, cols, separate, entry_bytes, approved))
+        return approved
 
-    monkeypatch.setattr(SharedKernelBlock, "take", spy)
-    return taken
+    monkeypatch.setattr(transform, "_block_pays", spy)
+    return decisions
+
+
+def nodal_stack(t):
+    """The stack of t's nodal systems, as the fit assembles it at float64."""
+    problem = t.nodal[0].interpolant._problem
+    index = np.array([nf.neighbors for nf in t.nodal])
+    return _Problem(problem.kernel, t.landmarks.sources[index], problem.tail_degree,
+                    t.landmarks.sources, index)
+
+
+def assert_stack_is_bitwise_per_system(stack, dtype):
+    built = stack.build(np.dtype(dtype))
+    for i, matrix in enumerate(built):
+        alone = stack[i]
+        assert_same_bits(matrix, _Problem(alone.kernel, alone.sources, alone.tail_degree)
+                         .build(np.dtype(dtype)))
+
+
+LONGDOUBLE_BYTES = np.dtype(np.longdouble).itemsize
 
 
 @pytest.mark.parametrize("case", CASE_KINDS)
 @pytest.mark.parametrize("method, value", [("shep-g", 0.4), ("shep-g", 2.0), ("shep-tps", None)])
 def test_shared_nodal_block_is_bitwise_per_system_assembly(monkeypatch, case, method, value):
     landmarks, _, _ = gen_case(CaseSpec(case))
-    taken = taken_blocks(monkeypatch)
+    decisions = block_decisions(monkeypatch)
     t = build_method(method, landmarks, case, value)
-    fit = list(taken)
-    n_l = len(t.nodal[0].neighbors)
-    for nf in t.nodal:
-        problem = nf.interpolant._problem
-        alone = _Problem(problem.kernel, problem.sources, problem.tail_degree)
-        for dtype in (np.float64, np.longdouble):
-            assert_same_bits(problem.build(np.dtype(dtype)), alone.build(np.dtype(dtype)))
-        if problem.shared is not None:
-            assert_same_bits(problem.shared.take([nf.center], nf.neighbors, float),
-                             alone.kernel_rows(landmarks.sources[[nf.center]]))
-    assert_center_values_per_node(t)
-    shared = landmarks.n <= n_l * n_l
+    fit = list(decisions)
+    n, n_l = landmarks.n, len(t.nodal[0].neighbors)
+    shared = n <= n_l * n_l
     assert shared == (case != "circle-contract")            # N_L = 5 there: 60 > 25
-    assert all(got for *_, got in taken) and bool(taken) == shared
-    if shared:
-        # the fit gathers stacks only: the float64 assembly of all N systems first,
-        # then per rung at most one more assembly and one gather of centre rows
-        assert fit[0][:3] == ((landmarks.n, n_l), (landmarks.n, n_l), np.dtype(float))
-        for rows, cols, dtype, _ in fit:
-            assert len(rows) == len(cols) == 2 and rows[0] == cols[0] and cols[1] == n_l
-            assert rows[1] in (1, n_l)
-        assert all(count <= 2 for count in Counter(dtype for _, _, dtype, _ in fit).values())          # the transform drops the blocks once it has read its centre values
-        fresh = build_method(method, landmarks, case, value)
-        assert not fresh.nodal[0].interpolant._problem.shared._blocks
+    # the float64 rung decides on all N systems, the 80-bit rung on those that climbed
+    climbers = sum(nf.interpolant.precision != "double" for nf in t.nodal)
+    want = [(n, n, n * n_l * n_l, 8, shared)]
+    if climbers and transform.LONGDOUBLE_IS_EXTENDED:
+        want.append((n, n, climbers * n_l * n_l, LONGDOUBLE_BYTES,
+                     n * n <= climbers * n_l * n_l and n * n * LONGDOUBLE_BYTES <= CHUNK_BYTES))
+    assert fit == want
+    stack = nodal_stack(t)
+    decisions.clear()
+    for dtype in (np.float64, np.longdouble):
+        assert_stack_is_bitwise_per_system(stack, dtype)
+    assert [approved for *_, approved in decisions] == [shared] * 2
+    assert_center_values_per_node(t)
 
 
 def test_large_landmark_sets_refuse_the_shared_nodal_block(monkeypatch):
-    from landreg.landmarks import CHUNK_BYTES
     rng = np.random.default_rng(7)
     src = np.unique(rng.integers(0, 2000, (1100, 2)), axis=0)[:1000] / 2000.0
     lm = LandmarkSet(src, src + 0.001 * rng.standard_normal(src.shape))
     assert lm.n == 1000 and lm.n > 25 * 25
-    built = []
-    original = transform._landmark_block
-
-    def spy(kernel, landmarks, n_l):
-        block = original(kernel, landmarks, n_l)
-        built.append(block)
-        return block
-
-    monkeypatch.setattr(transform, "_landmark_block", spy)
-    taken = taken_blocks(monkeypatch)
+    decisions = block_decisions(monkeypatch)
     t = build_shepard_transform(lm, ShepardConfig(ThinPlateSpline(), n_l=25, n_w=25))
-    assert built == [None] and taken == []
+    assert decisions == [(1000, 1000, 1000 * 25 * 25, 8, False)]
     assert t.residual < 1e-10 and rungs(t) == {"double"}
     assert_center_values_per_node(t)
+
+
+def test_block_pays_for_no_more_entries_than_the_separate_blocks_within_a_chunk():
     # N = 600 <= 25^2: the float64 block fits CHUNK_BYTES, an x87 80-bit one does not
-    mid = transform._landmark_block(Gaussian(1.0), lm.subset(np.arange(600)), 25)
-    assert mid.dtypes == {np.dtype(d) for d in (float, np.longdouble)
-                          if 600 * 600 * np.dtype(d).itemsize <= CHUNK_BYTES}
-    assert transform._landmark_block(Gaussian(1.0), lm.subset(np.arange(600)), 24) is None
+    assert transform._block_pays(600, 600, 600 * 25 * 25, 8)
+    assert transform._block_pays(600, 600, 600 * 25 * 25, LONGDOUBLE_BYTES) == (
+        600 * 600 * LONGDOUBLE_BYTES <= CHUNK_BYTES)
+    assert not transform._block_pays(600, 600, 600 * 24 * 24, 8)
+    assert transform._block_pays(3, 4, 12, CHUNK_BYTES // 12)
+    assert not transform._block_pays(3, 4, 12, CHUNK_BYTES // 12 + 1)
+
+
+def test_a_few_80bit_climbers_assemble_their_own_blocks(monkeypatch):
+    landmarks, _, _ = gen_case(CaseSpec("square-shift-64"))
+    t = build_method("shep-tps", landmarks, "square-shift-64", None)
+    stack = nodal_stack(t)
+    assert landmarks.n == 68 and stack.n == 25
+    decisions = block_decisions(monkeypatch)
+    assert_stack_is_bitwise_per_system(stack[[0, 1]], np.longdouble)
+    assert decisions == [(68, 68, 2 * 25 * 25, LONGDOUBLE_BYTES, False)]
+    decisions.clear()
+    assert_stack_is_bitwise_per_system(stack, np.longdouble)
+    assert decisions == [(68, 68, 68 * 25 * 25, LONGDOUBLE_BYTES, True)]
 
 
 def assert_center_values_per_node(t):
