@@ -134,21 +134,32 @@ def _weights_matrix(landmarks: LandmarkSet, cfg: ShepardConfig, rho, pts, near, 
     return wbar
 
 
+def _submatrix(a, rows, cols):
+    """a[rows][:, cols] of a 2-D block, C-ordered, by one flat take of just those entries."""
+    if isinstance(a, DDArray):
+        return DDArray(_submatrix(a.hi, rows, cols), _submatrix(a.lo, rows, cols))
+    return a.reshape(-1).take(rows[:, None] * a.shape[1] + cols)
+
+
 def _shared_values(kernel, landmarks, members, pts):
     """Evaluate the members' interpolants from one shared kernel block, or None.
 
-    members is [(NodalFunction, the points it weighs)], all of one rung.
-    The block pairs every such point with every landmark of the
-    members' neighborhoods, in the rung's array type, and the tail's
-    monomials are computed once on its points.  Kernel values and
-    monomials are elementwise, so the (P_j, N_L) sub-block and the rows a
-    member gathers carry the bits of its own eval_rows and tail_rows
-    wherever both take the same (radial or product) form.  None where
-    _block_pays refuses the block against the members' separate blocks at
-    the rung's bytes per entry: a block it approves fits one evaluation
-    chunk, and so does each member's own evaluation, so the gathered
-    product is the one it would run.  The unions are masks over the points
-    and the landmarks, counted before anything is built.
+    members is [(NodalFunction, the points it weighs)], all of one rung:
+    a whole rung, or one spatial cell of it (_evaluate).  The block pairs
+    every such point with every landmark of the members' neighborhoods, in
+    the rung's array type, and the tail's monomials are computed once on
+    its points.  Kernel values and monomials are elementwise, so the
+    (P_j, N_L) sub-block and the tail rows a member gathers carry the bits
+    of its own eval_rows and tail_rows wherever both take the same (radial
+    or product) form.  They are gathered in the memory order of its own
+    (C for the kernel rows, monomial_matrix's Fortran order for the tail):
+    with one output coordinate a float64 product is a gemv, whose bits
+    follow its operands' order.  None where _block_pays refuses the block
+    against the members' separate blocks at the rung's bytes per entry: a
+    block it approves fits one evaluation chunk, and so does each member's
+    own evaluation, so the gathered product is the one it would run.  The
+    unions are masks over the points and the landmarks, counted before
+    anything is built.  The block lives as long as the returned function.
     """
     if not members:
         return None
@@ -168,17 +179,63 @@ def _shared_values(kernel, landmarks, members, pts):
 
     def values(nf, active):
         rows = row_of[active]
-        sub = block[rows][:, col_of[nf.neighbors]]
-        return nf.interpolant._problem.block_values(nf.interpolant._z, sub,
-                                                    None if tail is None else tail[rows])
+        sub = _submatrix(block, rows, col_of[nf.neighbors])
+        own = None if tail is None else tail[rows]
+        if isinstance(tail, np.ndarray) and not tail.flags.c_contiguous:
+            own = np.asfortranarray(own)
+        return nf.interpolant._problem.block_values(nf.interpolant._z, sub, own)
     return values
 
 
+def _cells(landmarks, rung):
+    """The nodes of rung cut into spatial cells, each a list of rung's entries in node order.
+
+    rung is [(NodalFunction, anything)].  A node falls in the cell of its
+    centre on a lattice of side _cell_side anchored at the centres' lower
+    corner.  Cells come in the lexicographic order of their lattice
+    coordinates.
+    """
+    centres = landmarks.sources[[nf.center for nf, _ in rung]]
+    keys = np.floor((centres - centres.min(0)) / _cell_side(landmarks, [nf for nf, _ in rung]))
+    cell = np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+    order = np.argsort(cell, kind="stable")
+    return [[rung[i] for i in part]
+            for part in np.split(order, np.flatnonzero(np.diff(cell[order])) + 1)]
+
+
+def _cell_side(landmarks, nodal):
+    """Side of the cells that _cells cuts nodal (two or more nodes) into: positive.
+
+    The median Chebyshev extent (widest coordinate range) of the nodes'
+    N_L neighbourhoods, so that a cell spans about one neighbourhood.  A
+    neighbourhood of one landmark (n_l = 1) has none; there the side is the
+    extent of the nodes' centres, which are distinct landmarks.
+    """
+    hoods = landmarks.sources[np.array([nf.neighbors for nf in nodal])]
+    side = np.median((hoods.max(1) - hoods.min(1)).max(1))
+    if side > 0:
+        return side
+    centres = landmarks.sources[[nf.center for nf in nodal]]
+    return (centres.max(0) - centres.min(0)).max()
+
+
 def _evaluate(cfg, landmarks, rho, nodal, pts):
-    """F = sum_j L_j Wbar_j at pts; the L_j of one rung may share a kernel block."""
+    """F = sum_j L_j Wbar_j at pts, summed in one pass over the nonzero weights.
+
+    Every term L_j(x_p) Wbar_j(x_p) with a nonzero weight is one row of a
+    (T, m) buffer, the terms ordered by node and, within a node, by point.
+    np.bincount then sums each coordinate into its point in that order, so
+    each point adds its terms in node order, as one += per node into a
+    zeroed output would: the order in which the nodes are evaluated does
+    not touch the bits.  The nodes of one rung share _shared_values's
+    block where it pays for all of them.  Where it does not, a rung of two
+    or more nodes is cut into spatial cells (_cells), and each cell of two
+    or more nodes asks _shared_values for its own block, built, read and
+    dropped before the next; a lone node, and the nodes of a refused block,
+    evaluate their own interpolant.
+    """
     near, d2 = k_nearest(landmarks.sources, pts, cfg.n_w)
     wbar = _weights_matrix(landmarks, cfg, rho, pts, near, d2)
-    out = np.zeros((pts.shape[0], landmarks.dimension))
     # the points each landmark weighs, grouped by landmark, ascending within a group;
     # numpy radix-sorts keys of 16 bits or fewer, in the same stable order
     terms = np.flatnonzero(wbar)
@@ -186,17 +243,34 @@ def _evaluate(cfg, landmarks, rho, nodal, pts):
     terms = terms[np.argsort(keys, kind="stable")]
     rows, nodes, weights = terms // cfg.n_w, near.ravel()[terms], wbar.ravel()[terms]
     bounds = np.searchsorted(nodes, np.arange(landmarks.n + 1))
+    del near, d2, wbar, terms, keys, nodes      # the (P, N_W) arrays, before the nodal blocks
     groups = [(nf, slice(bounds[nf.center], bounds[nf.center + 1])) for nf in nodal]
     groups = [(nf, group) for nf, group in groups if group.start < group.stop]
-    shared = {}
+    values = np.empty((len(rows), landmarks.dimension))
+
+    def block(cell):
+        return _shared_values(cfg.nodal_kernel, landmarks,
+                              [(nf, rows[group]) for nf, group in cell], pts)
+
+    def fill(cell, shared):
+        for nf, group in cell:
+            active = rows[group]
+            values[group] = nf.interpolant(pts[active]) if shared is None else shared(nf, active)
+
     for precision in PRECISIONS:
-        rung = [(nf, rows[group]) for nf, group in groups if nf.interpolant.precision == precision]
-        shared[precision] = _shared_values(cfg.nodal_kernel, landmarks, rung, pts)
-    for nf, group in groups:
-        active = rows[group]
-        from_block = shared[nf.interpolant.precision]
-        values = from_block(nf, active) if from_block else nf.interpolant(pts[active])
-        out[active] += weights[group, None] * values
+        rung = [(nf, group) for nf, group in groups if nf.interpolant.precision == precision]
+        shared = block(rung)
+        if shared is None and len(rung) > 1:
+            for cell in _cells(landmarks, rung):
+                # a cell's block lives for its fill alone: one block at a time
+                fill(cell, block(cell) if len(cell) > 1 else None)
+        else:
+            fill(rung, shared)
+        del shared
+    values *= weights[:, None]
+    out = np.empty((pts.shape[0], landmarks.dimension))
+    for d in range(landmarks.dimension):
+        out[:, d] = np.bincount(rows, values[:, d], minlength=pts.shape[0])
     return out
 
 

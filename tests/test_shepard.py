@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from landreg import shepard, transform
 from landreg.bench import CASE_KINDS, CaseSpec, build_method, default_grid, gen_case
-from landreg.kernels import Gaussian, ThinPlateSpline
+from landreg.kernels import Gaussian, ThinPlateSpline, WendlandRadial
 from landreg.landmarks import CHUNK_BYTES, LandmarkSet
 from landreg.shepard import (SNAP_RADIUS, NodalSolveError, ShepardConfig,
                              build_nodal_interpolants, build_shepard_transform,
@@ -488,9 +490,13 @@ def test_double_double_nodes_share_a_block_or_record_the_refusal(shared_blocks, 
     mp = [nf for nf in t.nodal if nf.interpolant.precision == "mp"]
     assert len(mp) == mp_nodes
     assert_bitwise_per_node(t, grid.points)
-    # one node's block is its own; on the grid, that of several is larger than theirs together
-    assert shared_blocks == [("longdouble", True), ("mp", mp_nodes == 1)]
+    # one node's block is its own; on the grid, that of several is larger than theirs together.
+    # The refused rung is then cut into cells: alpha = 2.0's 4 nodes into two cells of 2, one
+    # of which takes its block; alpha = 1.2's 2 nodes into two cells of 1, which ask for none
+    cells = {4: [("mp", True), ("mp", False)], 2: [], 1: []}[mp_nodes]
+    assert shared_blocks == [("longdouble", True), ("mp", mp_nodes == 1)] + cells
     assert all(bitwise for rung, bitwise in gathered if rung == "mp")
+    assert [rung for rung, _ in gathered].count("mp") == {4: 2, 2: 0, 1: 1}[mp_nodes]
     # around each double-double centre it is one chunk of that rung, and taken
     for nf in mp:
         near = grid.points[np.abs(grid.points - landmarks.sources[nf.center]).max(1) < 0.08]
@@ -502,13 +508,162 @@ def test_double_double_nodes_share_a_block_or_record_the_refusal(shared_blocks, 
         assert from_block and all(from_block)
 
 
+def test_shared_block_of_1d_nodes_keeps_the_layouts_of_their_own_blocks(shared_blocks):
+    # with one output coordinate a float64 product is a gemv, whose bits follow the operands'
+    # memory order: the gathered kernel rows are C-ordered and the tail's Fortran-ordered,
+    # as a node's own evaluation makes them
+    rng = np.random.default_rng(4)
+    src = (np.arange(12)[:, None] + 0.5 + rng.uniform(-0.35, 0.35, (12, 1))) / 12
+    t = build_shepard_transform(LandmarkSet(src, src + rng.uniform(-0.02, 0.02, src.shape)),
+                                ShepardConfig(ThinPlateSpline(), n_l=6, n_w=8))
+    probes = rng.uniform(-0.1, 1.1, (300, 1))
+    assert_same_bits(t(probes), per_node_evaluation(t, probes))
+    assert shared_blocks == [("double", True)]
+
+
 def test_block_larger_than_the_separate_blocks_is_refused(shared_blocks):
     src = square_cloud(20, 0.0, 1.0)
     t = build_shepard_transform(LandmarkSet(src, displaced(src, amplitude=0.01)),
                                 ShepardConfig(ThinPlateSpline(), n_l=4, n_w=4))
     assert t.landmarks.n == 400
     assert_bitwise_per_node(t, GRID)
-    assert shared_blocks == [("double", False)]
+    # the whole rung's refusal comes first; then each of its 100 cells of 2 x 2 nodes asks
+    # for a block of its own, and 4 of them pay
+    assert shared_blocks[0] == ("double", False)
+    assert [len(cell) for cell in shepard._cells(t.landmarks, [(nf, None) for nf in t.nodal])] \
+        == [4] * 100
+    assert len(shared_blocks) == 101 and {rung for rung, _ in shared_blocks} == {"double"}
+    assert [taken for _, taken in shared_blocks[1:]].count(True) == 4
+
+
+@pytest.fixture
+def cell_calls(monkeypatch):
+    """(centres of the members, taken) of every _shared_values call with members."""
+    calls = []
+    shared_values = shepard._shared_values
+
+    def spy(kernel, landmarks, members, pts):
+        values = shared_values(kernel, landmarks, members, pts)
+        if members:
+            calls.append(([nf.center for nf, _ in members], values is not None))
+        return values
+
+    monkeypatch.setattr(shepard, "_shared_values", spy)
+    return calls
+
+
+def jittered_lattice(n_side, seed, extra=()):
+    """An n_side x n_side jittered lattice in [0, 1]^2, plus the extra sources, displaced."""
+    src = np.vstack([square_cloud(n_side, 0.02, 0.98, jitter=0.3 / n_side, seed=seed),
+                     np.reshape(extra, (-1, 2))])
+    return LandmarkSet(src, displaced(src, seed=seed + 1, amplitude=0.2 / n_side))
+
+
+def expected_cells(t, calls):
+    """The cells of the rung whose whole block the first call refused, as centre lists."""
+    whole, taken = calls[0]
+    assert not taken
+    cells = shepard._cells(t.landmarks, [(t.nodal[j], None) for j in whole])
+    return [[nf.center for nf, _ in cell] for cell in cells]
+
+
+@pytest.mark.parametrize("kernel", [ThinPlateSpline(), WendlandRadial(2, 1, 4.0)],
+                         ids=["tps", "wendland"])
+def test_grouped_warp_is_bitwise_per_node(cell_calls, kernel):
+    t = build_shepard_transform(jittered_lattice(20, 3), ShepardConfig(kernel, n_l=16, n_w=9))
+    assert rungs(t) == {"double"}
+    got = t(GRID)
+    assert_same_bits(got, per_node_evaluation(t, GRID))
+    # the whole rung is refused, then every cell of two or more nodes asks once, in cell order
+    cells = expected_cells(t, cell_calls)
+    assert [centres for centres, _ in cell_calls[1:]] == [cell for cell in cells if len(cell) > 1]
+    assert sum(taken for _, taken in cell_calls[1:]) > len(cells) // 2
+
+
+def test_a_cell_of_one_node_asks_for_no_block(cell_calls):
+    # a landmark far to the right of the lattice sits in a cell of its own
+    t = build_shepard_transform(jittered_lattice(20, 5, extra=[1.4, 0.5]), TPS_CFG)
+    lone = t.landmarks.n - 1
+    pts = default_grid(40, 60).points * [1.5, 1.0]
+    assert_same_bits(t(pts), per_node_evaluation(t, pts))
+    cells = expected_cells(t, cell_calls)
+    assert [lone] in cells and lone in cell_calls[0][0]
+    assert all(lone not in centres and len(centres) > 1 for centres, _ in cell_calls[1:])
+    assert [centres for centres, _ in cell_calls[1:]] == [cell for cell in cells if len(cell) > 1]
+
+
+def test_one_cell_block_is_alive_at_a_time(monkeypatch):
+    alive = []
+    shared_values = shepard._shared_values
+
+    def spy(kernel, landmarks, members, pts):
+        assert all(block() is None for block in alive)
+        values = shared_values(kernel, landmarks, members, pts)
+        if values is not None:
+            alive.append(weakref.ref(values))
+        return values
+
+    monkeypatch.setattr(shepard, "_shared_values", spy)
+    t = build_shepard_transform(jittered_lattice(20, 3), ShepardConfig(ThinPlateSpline(), 16, 9))
+    t(GRID)
+    assert len(alive) > 10 and all(block() is None for block in alive)
+
+
+def test_a_point_weighed_from_several_cells_blocks_keeps_its_bits(cell_calls):
+    t = build_shepard_transform(jittered_lattice(20, 3), ShepardConfig(ThinPlateSpline(), 16, 9))
+    got, want = t(GRID), per_node_evaluation(t, GRID)
+    cell_of = {j: i for i, (centres, taken) in enumerate(cell_calls[1:]) if taken
+               for j in centres}
+    wbar = scattered_weights(t.landmarks, t.config, t.rho, GRID)
+    spread = [p for p, row in enumerate(wbar)
+              if len({cell_of.get(j) for j in np.flatnonzero(row)} - {None}) > 1]
+    assert spread
+    for p in spread[:20]:
+        assert_same_bits(got[p], want[p])
+
+
+@st.composite
+def grouped_problems(draw):
+    """A Shepard warp whose whole nodal block is refused: a 1-3-D jittered lattice of 81-216
+    landmarks, radial nodes with bits of their own form, and probes over the lattice."""
+    m = draw(st.integers(1, 3))
+    side = draw(st.integers(*{1: (90, 200), 2: (9, 14), 3: (5, 6)}[m]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cells = np.stack(np.meshgrid(*[np.arange(side)] * m, indexing="ij"), -1).reshape(-1, m)
+    src = (cells + 0.5 + rng.uniform(-0.35, 0.35, cells.shape)) / side
+    tgt = src + rng.uniform(-0.3, 0.3, src.shape) / side
+    probes = rng.uniform(-0.1, 1.1, (draw(st.integers(100, 400)), m))
+    kernel = draw(st.sampled_from([ThinPlateSpline(), WendlandRadial(m, 1, side / 4.0)]))
+    low = m + 2 if isinstance(kernel, ThinPlateSpline) else 1
+    n_l = draw(st.integers(low, low + 8))
+    n_w = draw(st.integers(1, 8))
+    rho = draw(st.one_of(st.none(), st.floats(0.5 / side, 4.0 / side)))
+    return LandmarkSet(src, tgt), probes, ShepardConfig(kernel, n_l, n_w, rho)
+
+
+@settings(max_examples=30, deadline=None)
+@given(grouped_problems())
+def test_grouped_evaluation_is_bitwise_per_node(problem):
+    lm, probes, cfg = problem
+    t = build_shepard_transform(lm, cfg)
+    side = shepard._cell_side(lm, t.nodal)
+    assert np.isfinite(side) and side > 0
+    calls = []
+    shared_values = shepard._shared_values
+
+    def spy(kernel, landmarks, members, pts):
+        values = shared_values(kernel, landmarks, members, pts)
+        if members:
+            calls.append(values is not None)
+        return values
+
+    shepard._shared_values = spy
+    try:
+        got = t(probes)
+    finally:
+        shepard._shared_values = shared_values
+    assert_same_bits(got, per_node_evaluation(t, probes))
+    assert not calls[0]      # the first rung's whole block is refused
 
 
 def test_nodes_that_weigh_no_point_and_tiny_inputs(shared_blocks):
